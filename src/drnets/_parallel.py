@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
+from .errors import ConfigurationError
+
 
 def worker_count() -> int:
     """Number of workers to use: min(cpu count, DRNETS_THREADS if set)."""
@@ -20,7 +22,7 @@ def worker_count() -> int:
         try:
             n = min(n, max(1, int(cap)))
         except ValueError:
-            raise ValueError(f"DRNETS_THREADS must be an integer, got {cap!r}")
+            raise ConfigurationError(f"DRNETS_THREADS must be an integer, got {cap!r}") from None
     return n
 
 

@@ -39,7 +39,7 @@ class SplitError(EstimationError):
 
 
 class StratumError(EstimationError):
-    """A required treatment/mediator stratum is empty."""
+    """A required treatment/mediator stratum is empty or too small to fit."""
 
 
 class FoldError(EstimationError):

@@ -33,6 +33,7 @@ from .scores import (
     DteData,
     DteNuisance,
     FoldPlan,
+    _check_clip,
     cate_pseudo_outcome,
     cde_score,
     dte_score,
@@ -116,8 +117,12 @@ def _describe(cfg) -> dict:
     return {"family": "fixed"}
 
 
-def _fit_learner(cfg, x, y, w, kind, seed):
-    """Fit one nuisance and return a mean-scale prediction closure."""
+def _fit_learner(cfg, x, y, w, kind, seed, role):
+    """Fit one nuisance and return a mean-scale prediction closure.
+
+    ``role`` names the fold (or half) and nuisance role, e.g. "fold 2 nu",
+    in the error raised when the weighted stratum is too small to fit.
+    """
     if isinstance(cfg, FixedSpec):
         return cfg.fn
     if isinstance(cfg, ConstantSpec):
@@ -145,9 +150,11 @@ def _fit_learner(cfg, x, y, w, kind, seed):
         xs, ys, ws = x[keep], y[keep], w[keep]
         lam = cfg.lam
         if lam is None:
-            lam = select_lambda(
-                xs, ys, link, grid_size=cfg.grid_size, seed=_derive_seed(seed, 1), sample_weight=ws
-            )
+            try:
+                lam = select_lambda(xs, ys, link, grid_size=cfg.grid_size,
+                                    seed=_derive_seed(seed, 1), sample_weight=ws)
+            except InputError as exc:  # the stratum is too small for the holdout split
+                raise StratumError(f"{role}: {exc}") from exc
         if link == "logistic":
             model = logistic_lasso_fit(xs, ys, lam, sample_weight=ws)
         else:
@@ -179,9 +186,16 @@ class EstimateReport:
     learner_configs: dict = field(default_factory=dict)
 
 
-def _make_report(estimand, scores_by_fold, theta, alpha, seed, learner_configs):
+def _check_settings(n_folds, alpha, propensity_clip):
+    """Reject bad run settings before any nuisance is fit."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):
+        raise ConfigurationError(f"n_folds must be an integer >= 2, got {n_folds!r}")
+    _check_clip(propensity_clip)
+
+
+def _make_report(estimand, scores_by_fold, theta, alpha, seed, learner_configs):
     all_scores = np.concatenate(scores_by_fold)
     n = all_scores.size
     sigma = float(np.sqrt(np.mean((all_scores - theta) ** 2)))
@@ -238,6 +252,7 @@ def estimate_ate(
     propensity_clip: float = 0.01,
 ) -> EstimateReport:
     """Cross-fitted mean of the bias-corrected outcome contrast."""
+    _check_settings(n_folds, alpha, propensity_clip)
     mu_cfg = _require(learners.mu, "mu")
     mu1_cfg, mu0_cfg = _arm_configs(mu_cfg)
     plan = make_folds(data.n, n_folds, seed)
@@ -248,11 +263,11 @@ def estimate_ate(
             raise FoldError(f"fold {k}: training data has a single treatment arm")
         nuis = CateNuisance(
             pi=_fit_learner(learners.pi, train.s, train.t, np.ones(train.n), "propensity",
-                            _derive_seed(seed, k, 1)),
+                            _derive_seed(seed, k, 1), f"fold {k} pi"),
             mu1=_fit_learner(mu1_cfg, train.s, train.y, train.t, "regression",
-                             _derive_seed(seed, k, 2)),
+                             _derive_seed(seed, k, 2), f"fold {k} mu (treated)"),
             mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
-                             _derive_seed(seed, k, 3)),
+                             _derive_seed(seed, k, 3), f"fold {k} mu (control)"),
             propensity_clip=propensity_clip,
         )
         held = data.subset(plan.fold_indices(k))
@@ -325,11 +340,11 @@ def estimate_cate(
         train = data.subset(train_idx)
         nuis = CateNuisance(
             pi=_fit_learner(learners.pi, train.s, train.t, np.ones(train.n), "propensity",
-                            _derive_seed(seed, tag, 1)),
+                            _derive_seed(seed, tag, 1), f"half {tag} pi"),
             mu1=_fit_learner(mu1_cfg, train.s, train.y, train.t, "regression",
-                             _derive_seed(seed, tag, 2)),
+                             _derive_seed(seed, tag, 2), f"half {tag} mu (treated)"),
             mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
-                             _derive_seed(seed, tag, 3)),
+                             _derive_seed(seed, tag, 3), f"half {tag} mu (control)"),
             propensity_clip=propensity_clip,
         )
         held = data.subset(model_idx)
@@ -393,9 +408,9 @@ def estimate_mu_dr(
         sbar2 = train.sbar2
         nuis = DteNuisance(
             rho=_fit_learner(rho_cfg, sbar2, train.t2, train.t1, "propensity",
-                             _derive_seed(seed, tag, 11)),
+                             _derive_seed(seed, tag, 11), f"nuisance half {tag} rho"),
             nu=_fit_learner(nu_cfg, sbar2, train.y, train.t1 * train.t2, "regression",
-                            _derive_seed(seed, tag, 12)),
+                            _derive_seed(seed, tag, 12), f"nuisance half {tag} nu"),
             propensity_clip=propensity_clip,
         )
         held = data.subset(model_idx)
@@ -413,28 +428,32 @@ def estimate_mu_dr(
 # ------------------------------------------------------------------- DTE
 
 
-def _resolve_mu(learners, final_stage, train, rho, nu, seed, k, propensity_clip):
+def _resolve_mu(learners, final_stage, train, rho, nu, seed, k, propensity_clip, where):
     """Stage-one regression for one training complement.
 
     Default (mu role unset): the nested two-half network regression.  A
     FixedSpec short-circuits fitting; any other config regresses the
-    stage-two corrected outcomes on s1 with weights t1.
+    stage-two corrected outcomes on s1 with weights t1.  ``where`` names
+    the fold in stratum errors.
     """
     if learners.mu is None:
-        pair = estimate_mu_dr(
-            train.subset(np.flatnonzero(train.t1 == 1)),
-            learners,
-            final_stage,
-            seed=_derive_seed(seed, k, 24),
-            propensity_clip=propensity_clip,
-        )
+        try:
+            pair = estimate_mu_dr(
+                train.subset(np.flatnonzero(train.t1 == 1)),
+                learners,
+                final_stage,
+                seed=_derive_seed(seed, k, 24),
+                propensity_clip=propensity_clip,
+            )
+        except StratumError as exc:
+            raise StratumError(f"{where} mu: {exc}") from exc
         return pair.predict
     if isinstance(learners.mu, FixedSpec):
         return learners.mu.fn
     inner = DteNuisance(rho=rho, nu=nu, propensity_clip=propensity_clip)
     pseudo = dte_stage2_pseudo_outcome(train, inner)
     return _fit_learner(learners.mu, train.s1, pseudo, train.t1.astype(np.float64),
-                        "regression", _derive_seed(seed, k, 25))
+                        "regression", _derive_seed(seed, k, 25), f"{where} mu")
 
 
 def estimate_dte(
@@ -458,6 +477,7 @@ def estimate_dte(
     other config is fit directly on the stage-two corrected outcomes with
     weights t1 (no nested split).
     """
+    _check_settings(n_folds, alpha, propensity_clip)
     rho_cfg = _require(learners.rho, "rho")
     nu_cfg = _require(learners.nu, "nu")
     plan = make_folds(data.n, n_folds, seed)
@@ -470,13 +490,13 @@ def estimate_dte(
         sbar2 = train.sbar2
         ones = np.ones(train.n)
         pi = _fit_learner(learners.pi, train.s1, train.t1, ones, "propensity",
-                          _derive_seed(seed, k, 21))
+                          _derive_seed(seed, k, 21), f"fold {k} pi")
         rho = _fit_learner(rho_cfg, sbar2, train.t2, train.t1, "propensity",
-                           _derive_seed(seed, k, 22))
+                           _derive_seed(seed, k, 22), f"fold {k} rho")
         nu = _fit_learner(nu_cfg, sbar2, train.y, train.t1 * train.t2, "regression",
-                          _derive_seed(seed, k, 23))
+                          _derive_seed(seed, k, 23), f"fold {k} nu")
         mu = _resolve_mu(learners, final_stage, train, rho, nu,
-                         seed, k, propensity_clip)
+                         seed, k, propensity_clip, f"fold {k}")
         nuis = DteNuisance(pi=pi, rho=rho, nu=nu, mu=mu,
                            propensity_clip=propensity_clip)
         held = data.subset(plan.fold_indices(k))
@@ -513,6 +533,7 @@ def estimate_cde(
     Estimates for two exposure levels at the same mediator level difference
     to a controlled direct effect.
     """
+    _check_settings(n_folds, alpha, propensity_clip)
     if data.m is None:
         raise InputError("estimate_cde requires data with a mediator column")
     t_level, m_level = int(target[0]), int(target[1])
@@ -538,19 +559,19 @@ def estimate_cde(
         sbar2 = train.sbar2
         ones = np.ones(train.n)
         p_treat = _fit_learner(learners.pi, train.s1, train.t1, ones, "propensity",
-                               _derive_seed(seed, k, 31))
+                               _derive_seed(seed, k, 31), f"fold {k} pi")
         if t_level == 1:
             pi = p_treat
         else:
             pi = lambda s, _p=p_treat: 1.0 - _p(s)
         rho = _fit_learner(rho_cfg, sbar2, i2[comp], i1[comp], "propensity",
-                           _derive_seed(seed, k, 32))
+                           _derive_seed(seed, k, 32), f"fold {k} rho")
         nu = _fit_learner(nu_cfg, sbar2, train.y, i1[comp] * i2[comp], "regression",
-                          _derive_seed(seed, k, 33))
+                          _derive_seed(seed, k, 33), f"fold {k} nu")
         mu = _resolve_mu(
             LearnerSpec(pi=learners.pi, mu=learners.mu, rho=rho_cfg, nu=nu_cfg),
             final_stage, relabeled, rho, nu,
-            _derive_seed(seed, k, 34), 0, propensity_clip,
+            _derive_seed(seed, k, 34), 0, propensity_clip, f"fold {k}",
         )
         nuis = DteNuisance(pi=pi, rho=rho, nu=nu, mu=mu,
                            propensity_clip=propensity_clip)

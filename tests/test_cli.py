@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from drnets import estimators
 from drnets.cli import (
     _columns_for,
     _parse_cate_csv,
@@ -244,6 +246,41 @@ def test_study_bytes_do_not_depend_on_worker_cap(tmp_path, monkeypatch):
                 "--seed", "3")
         outs.append(open(out).read().replace(f"o{i}.json", "o.json"))
     assert outs[0] == outs[1]
+
+
+def test_bad_thread_cap_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("DRNETS_THREADS", "abc")
+    assert run_cli("diagnose", "coverage", "--reps", "100", "--n", "200") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "DRNETS_THREADS" in err
+
+
+@pytest.mark.parametrize("estimand,dgp", [("ate", "cate_linear"),
+                                          ("dte", "dte_linear"),
+                                          ("cde", "cde_binary")])
+def test_bad_alpha_exits_2_before_any_fit(tmp_path, monkeypatch, capsys,
+                                          estimand, dgp):
+    src = str(tmp_path / "d.csv")
+    run_cli("simulate", "--dgp", dgp, "--n", "200", "--seed", "1", "--out", src)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance was fit before alpha was checked")
+
+    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
+    assert run_cli("estimate", "--estimand", estimand, "--data", src,
+                   "--alpha", "1.5") == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_tiny_stratum_exits_4_naming_fold_and_role(tmp_path, capsys):
+    src = str(tmp_path / "d.csv")
+    run_cli("simulate", "--dgp", "dte_linear", "--n", "20", "--seed", "3",
+            "--out", src)
+    code = run_cli("estimate", "--estimand", "dte", "--data", src,
+                   "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert re.search(r"fold \d+ (pi|rho|nu|mu)\b", err), err
 
 
 def test_estimate_requires_data_and_estimand(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
@@ -13,6 +15,7 @@ from drnets.errors import (
 )
 from drnets.linmod import (
     LinearModel,
+    _lambda_max,
     lasso_fit,
     linear_from_json,
     linear_to_json,
@@ -223,8 +226,9 @@ def test_single_class_raises_separation():
 
 
 def test_logistic_separable_small_sample_reaches_stationarity():
-    """Separable data with a tiny penalty has a far-off but finite optimum;
-    the fixed-step loop alone crawls, so this exercises the refinement."""
+    """Separable data with a tiny penalty has a far-off but finite optimum
+    where the curvature along the escaping direction is nearly flat, so
+    the Newton steps lean on the curvature floor and the backtracking."""
     x = np.linspace(-1.0, 1.0, 21)[:, None]
     y = (x[:, 0] > 0.05).astype(float)
     m = logistic_lasso_fit(x, y, 1e-3)
@@ -235,6 +239,30 @@ def test_logistic_separable_small_sample_reaches_stationarity():
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
 
 
+def test_logistic_near_separable_high_dimensional_reaches_stationarity():
+    rng = np.random.default_rng(21)
+    n, p = 100, 50
+    x = rng.uniform(-1, 1, (n, p))
+    y = (x[:, :3] @ np.array([4.0, -3.0, 2.0]) + 0.05 * rng.normal(size=n) > 0).astype(float)
+    w = rng.uniform(0.5, 2.0, n)
+    lam = 1e-3 * _lambda_max(x, y, w / w.sum(), "logistic")
+    m = logistic_lasso_fit(x, y, lam, sample_weight=w)
+    grad, grad0 = logistic_gradient(x, y, w, m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+    trace = np.array(m.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
+
+
+def test_logistic_newton_steps_bounded_on_well_conditioned_fit():
+    """Proximal Newton converges in a handful of outer steps where a
+    first-order method needs hundreds; each step appends one objective."""
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-1, 1, (500, 5))
+    y = (rng.random(500) < expit(x @ np.array([1.0, -0.5, 0.0, 0.3, 0.0]))).astype(float)
+    m = logistic_lasso_fit(x, y, 0.01)
+    assert len(m.objective_trace) - 1 <= 8
+
+
 def test_probability_clipping():
     beta = np.array([50.0])
     beta.flags.writeable = False
@@ -242,6 +270,51 @@ def test_probability_clipping():
     probs = m.predict(np.array([[1.0], [-1.0]]))
     assert probs[0] == 1.0 - 1e-6
     assert probs[1] == 1e-6
+
+
+# ------------------------------------------------------- both links
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200), p=st.integers(1, 60),
+       log_frac=st.floats(-2.0, 0.0), link=st.sampled_from(["identity", "logistic"]))
+def test_kkt_residual_within_tolerance_property(seed, n, p, log_frac, link):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, p))
+    eta = x @ (rng.normal(size=p) * (rng.random(p) < 0.3)) + 0.2 * rng.normal()
+    if link == "identity":
+        y = eta + rng.normal(size=n)
+    else:
+        y = (rng.random(n) < expit(eta)).astype(float)
+        if y.min() == y.max():
+            return
+    w = 10.0 ** rng.uniform(-5.0, 0.0, n)
+    lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
+    if link == "identity":
+        m = lasso_fit(x, y, lam, sample_weight=w)
+        grad, grad0 = identity_gradient(x, y, w, m)
+    else:
+        m = logistic_lasso_fit(x, y, lam, sample_weight=w)
+        grad, grad0 = logistic_gradient(x, y, w, m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_warm_start_matches_cold_start(link):
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1, 1, (300, 10))
+    eta = x @ np.array([1.0, -0.8, 0.5, 0.0, 0.0, 0.3, 0.0, 0.0, -0.2, 0.0])
+    y = eta + 0.5 * rng.normal(size=300) if link == "identity" else (
+        rng.random(300) < expit(eta)).astype(float)
+    w = rng.uniform(0.2, 1.0, 300)
+    fit = lasso_fit if link == "identity" else logistic_lasso_fit
+    lam_max = _lambda_max(x, y, w / w.sum(), link)
+    start = fit(x, y, 0.3 * lam_max, sample_weight=w)
+    cold = fit(x, y, 0.01 * lam_max, sample_weight=w)
+    warm = fit(x, y, 0.01 * lam_max, sample_weight=w,
+               _warm=(start.intercept, start.coefficients))
+    assert_allclose(warm.coefficients, cold.coefficients, rtol=0, atol=1e-7)
+    assert warm.intercept == pytest.approx(cold.intercept, abs=1e-7)
 
 
 # ----------------------------------------------------------- select_lambda
