@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -150,10 +151,8 @@ def _parse_dte_csv(path: str, mediator: bool) -> DteData:
     t1 = matrix[:, d1]
     s2 = matrix[:, d1 + 1:d1 + 1 + d2]
     t2 = matrix[:, d1 + 1 + d2]
-    if mediator:
-        m = matrix[:, d1 + d2 + 2]
-        return DteData(s1, t1, s2, t2, matrix[:, d1 + d2 + 3], m=m)
-    return DteData(s1, t1, s2, t2, matrix[:, d1 + d2 + 2])
+    # The columns were checked above: y is last, and m precedes it when present.
+    return DteData(s1, t1, s2, t2, matrix[:, -1], m=matrix[:, -2] if mediator else None)
 
 
 def _write_json(out: str | None, doc: dict) -> None:
@@ -178,9 +177,8 @@ _STUDY_DEFAULTS = {
                           "n_grid": (1000, 4000)},
 }
 
-_CONFIG_KEYS = ("seed", "out", "data", "estimand", "dgp", "n", "K", "alpha",
-                "reps", "probe", "scale", "learner_family", "t_level",
-                "m_level", "n_grid", "dgp_fields", "study", "command")
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+_CONFIG_TYPES = get_type_hints(RunConfig)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -198,6 +196,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         for key, value in source.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            # Float fields also take ints, n_grid a list of ints; no field takes a bool.
+            hint = _CONFIG_TYPES[key]
+            allowed = (get_args(hint) or (hint,)) + {float: (int,), tuple: (list,)}.get(hint, ())
+            if type(value) not in allowed or (
+                    type(value) is list and any(type(v) is not int for v in value)):
+                expected = hint if get_args(hint) else hint.__name__
+                raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
             file_values[key] = value
 
     values = dict(file_values)
@@ -218,9 +223,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     command = args.command
 
     if "n_grid" in values:
-        values["n_grid"] = tuple(int(v) for v in values["n_grid"])
-    if "dgp_fields" in values and not isinstance(values["dgp_fields"], dict):
-        raise ConfigurationError("dgp_fields must be a JSON object")
+        values["n_grid"] = tuple(values["n_grid"])
 
     if command == "simulate":
         if values.get("dgp") is None:
@@ -405,15 +408,9 @@ def main(argv=None) -> int:
     try:
         run = _resolve(args)
         return _DISPATCH[run.command](run)
-    except (ConfigurationError, InputError) as exc:
+    except (ConfigurationError, InputError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, EstimationError) else 3 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ and always through weighted losses: stratum restrictions enter as indicator
 sample weights, never by silently dropping rows.  Final-stage regressions
 (treatment effects, stage-one outcome regressions) are always networks fit
 on two swapped halves whose predictions are averaged.
+
+There is one two-stage pipeline, ``estimate_dte``.  The controlled direct
+effect runs through it on relabelled data: 1{T=t} takes the place of t1 and
+1{M=m} that of t2, with DTE's folds, seeds and score.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from scipy.special import expit, ndtri
 
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
+    DivergenceError,
     EmptySubgroupError,
     FoldError,
     InputError,
@@ -32,10 +38,8 @@ from .scores import (
     CateNuisance,
     DteData,
     DteNuisance,
-    FoldPlan,
     _check_clip,
     cate_pseudo_outcome,
-    cde_score,
     dte_score,
     dte_stage2_pseudo_outcome,
     make_folds,
@@ -121,7 +125,8 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
     """Fit one nuisance and return a mean-scale prediction closure.
 
     ``role`` names the fold (or half) and nuisance role, e.g. "fold 2 nu",
-    in the error raised when the weighted stratum is too small to fit.
+    in the error raised when the weighted stratum is too small to fit or a
+    solver fails.
     """
     if isinstance(cfg, FixedSpec):
         return cfg.fn
@@ -134,32 +139,32 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
                 raise EmptySubgroupError("all sample weights are zero")
             level = float(np.dot(w, y) / total)
         return lambda s, _v=level: np.full(s.shape[0], _v)
-    if isinstance(cfg, MLPConfig):
-        loss = "logistic" if kind == "propensity" else "square"
-        model = mlp_fit(x, y, replace(cfg, loss=loss, seed=_derive_seed(seed, cfg.seed)), w)
-        if kind == "propensity":
-            return lambda s, _m=model: expit(mlp_predict(_m, s))
-        return lambda s, _m=model: mlp_predict(_m, s)
-    if isinstance(cfg, LassoSpec):
-        link = "logistic" if kind == "propensity" else "identity"
-        # Zero-weight rows are inert under weighted losses; dropping them up
-        # front keeps the selection holdout inside the stratum.
-        keep = np.flatnonzero(w > 0)
-        if keep.size == 0:
-            raise EmptySubgroupError("all sample weights are zero")
-        xs, ys, ws = x[keep], y[keep], w[keep]
-        lam = cfg.lam
-        if lam is None:
-            try:
-                lam = select_lambda(xs, ys, link, grid_size=cfg.grid_size,
-                                    seed=_derive_seed(seed, 1), sample_weight=ws)
-            except InputError as exc:  # the stratum is too small for the holdout split
-                raise StratumError(f"{role}: {exc}") from exc
-        if link == "logistic":
-            model = logistic_lasso_fit(xs, ys, lam, sample_weight=ws)
-        else:
-            model = lasso_fit(xs, ys, lam, sample_weight=ws)
-        return model.predict
+    try:
+        if isinstance(cfg, MLPConfig):
+            loss = "logistic" if kind == "propensity" else "square"
+            model = mlp_fit(x, y, replace(cfg, loss=loss, seed=_derive_seed(seed, cfg.seed)), w)
+            if kind == "propensity":
+                return lambda s, _m=model: expit(mlp_predict(_m, s))
+            return lambda s, _m=model: mlp_predict(_m, s)
+        if isinstance(cfg, LassoSpec):
+            link = "logistic" if kind == "propensity" else "identity"
+            # Zero-weight rows are inert under weighted losses; dropping them up
+            # front keeps the selection holdout inside the stratum.
+            keep = np.flatnonzero(w > 0)
+            if keep.size == 0:
+                raise EmptySubgroupError("all sample weights are zero")
+            xs, ys, ws = x[keep], y[keep], w[keep]
+            lam = cfg.lam
+            if lam is None:
+                try:
+                    lam = select_lambda(xs, ys, link, grid_size=cfg.grid_size,
+                                        seed=_derive_seed(seed, 1), sample_weight=ws)
+                except InputError as exc:  # the stratum is too small for the holdout split
+                    raise StratumError(f"{role}: {exc}") from exc
+            fit = logistic_lasso_fit if link == "logistic" else lasso_fit
+            return fit(xs, ys, lam, sample_weight=ws).predict
+    except (ConvergenceError, DivergenceError) as exc:
+        raise type(exc)(f"{role}: {exc}") from exc
     raise ConfigurationError(f"unknown learner config {cfg!r}")
 
 
@@ -243,6 +248,20 @@ def _require(cfg, role):
     return cfg
 
 
+def _cate_nuisance(learners, train, seed, tag, where, propensity_clip):
+    """pi and both arm regressions fit on one training set; ``where`` names it."""
+    mu1_cfg, mu0_cfg = _arm_configs(learners.mu)
+    return CateNuisance(
+        pi=_fit_learner(learners.pi, train.s, train.t, np.ones(train.n), "propensity",
+                        _derive_seed(seed, tag, 1), f"{where} pi"),
+        mu1=_fit_learner(mu1_cfg, train.s, train.y, train.t, "regression",
+                         _derive_seed(seed, tag, 2), f"{where} mu (treated)"),
+        mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
+                         _derive_seed(seed, tag, 3), f"{where} mu (control)"),
+        propensity_clip=propensity_clip,
+    )
+
+
 def estimate_ate(
     data: CateData,
     learners: LearnerSpec,
@@ -254,22 +273,13 @@ def estimate_ate(
     """Cross-fitted mean of the bias-corrected outcome contrast."""
     _check_settings(n_folds, alpha, propensity_clip)
     mu_cfg = _require(learners.mu, "mu")
-    mu1_cfg, mu0_cfg = _arm_configs(mu_cfg)
     plan = make_folds(data.n, n_folds, seed)
     scores_by_fold = []
     for k in range(n_folds):
         train = data.subset(plan.complement_indices(k))
         if train.t.min() == train.t.max():
             raise FoldError(f"fold {k}: training data has a single treatment arm")
-        nuis = CateNuisance(
-            pi=_fit_learner(learners.pi, train.s, train.t, np.ones(train.n), "propensity",
-                            _derive_seed(seed, k, 1), f"fold {k} pi"),
-            mu1=_fit_learner(mu1_cfg, train.s, train.y, train.t, "regression",
-                             _derive_seed(seed, k, 2), f"fold {k} mu (treated)"),
-            mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
-                             _derive_seed(seed, k, 3), f"fold {k} mu (control)"),
-            propensity_clip=propensity_clip,
-        )
+        nuis = _cate_nuisance(learners, train, seed, k, f"fold {k}", propensity_clip)
         held = data.subset(plan.fold_indices(k))
         scores_by_fold.append(cate_pseudo_outcome(held, nuis))
     theta = float(np.mean(np.concatenate(scores_by_fold)))
@@ -300,7 +310,9 @@ class CateEstimate(MlpPair):
     provenance: dict = field(default_factory=dict)
 
 
-def _two_way_split(n, seed):
+def _two_way_split(n, seed, who):
+    if n < 4:
+        raise InputError(f"{who} needs at least 4 rows, got {n}")
     perm = np.random.default_rng([seed, 101]).permutation(n)
     return perm[: n // 2], perm[n // 2 :]
 
@@ -319,34 +331,16 @@ def estimate_cate(
     split is redrawn once with seed+1 before failing.
     """
     mu_cfg = _require(learners.mu, "mu")
-    mu1_cfg, mu0_cfg = _arm_configs(mu_cfg)
-    if data.n < 4:
-        raise InputError(f"estimate_cate needs at least 4 rows, got {data.n}")
-    reshuffled = False
-    idx_a, idx_b = _two_way_split(data.n, seed)
-    for half in (idx_a, idx_b):
-        t = data.t[half]
-        if t.size == 0 or t.min() == t.max():
-            reshuffled = True
-            idx_a, idx_b = _two_way_split(data.n, seed + 1)
+    for split_seed in (seed, seed + 1):
+        idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
+        if all(data.t[h].min() < data.t[h].max() for h in (idx_a, idx_b)):
             break
-    if reshuffled:
-        for half in (idx_a, idx_b):
-            t = data.t[half]
-            if t.size == 0 or t.min() == t.max():
-                raise SplitError("both split attempts left a half with a single arm")
+    else:
+        raise SplitError("both split attempts left a half with a single arm")
 
     def fit_half(model_idx, train_idx, tag):
         train = data.subset(train_idx)
-        nuis = CateNuisance(
-            pi=_fit_learner(learners.pi, train.s, train.t, np.ones(train.n), "propensity",
-                            _derive_seed(seed, tag, 1), f"half {tag} pi"),
-            mu1=_fit_learner(mu1_cfg, train.s, train.y, train.t, "regression",
-                             _derive_seed(seed, tag, 2), f"half {tag} mu (treated)"),
-            mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
-                             _derive_seed(seed, tag, 3), f"half {tag} mu (control)"),
-            propensity_clip=propensity_clip,
-        )
+        nuis = _cate_nuisance(learners, train, seed, tag, f"half {tag}", propensity_clip)
         held = data.subset(model_idx)
         pseudo = cate_pseudo_outcome(held, nuis)
         cfg = replace(final_stage, seed=_derive_seed(seed, tag, 4, final_stage.seed))
@@ -357,7 +351,7 @@ def estimate_cate(
     provenance = {
         "seed": seed,
         "half_sizes": [int(idx_a.size), int(idx_b.size)],
-        "reshuffled": reshuffled,
+        "reshuffled": split_seed != seed,
         "propensity_clip": propensity_clip,
         "learner_configs": {
             "pi": _describe(learners.pi),
@@ -398,9 +392,7 @@ def estimate_mu_dr(
     """
     rho_cfg = _require(learners.rho, "rho")
     nu_cfg = _require(learners.nu, "nu")
-    if data.n < 4:
-        raise InputError(f"estimate_mu_dr needs at least 4 rows, got {data.n}")
-    idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201))
+    idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
 
     def fit_half(model_idx, train_idx, tag):
         train = data.subset(train_idx)
@@ -426,34 +418,6 @@ def estimate_mu_dr(
 
 
 # ------------------------------------------------------------------- DTE
-
-
-def _resolve_mu(learners, final_stage, train, rho, nu, seed, k, propensity_clip, where):
-    """Stage-one regression for one training complement.
-
-    Default (mu role unset): the nested two-half network regression.  A
-    FixedSpec short-circuits fitting; any other config regresses the
-    stage-two corrected outcomes on s1 with weights t1.  ``where`` names
-    the fold in stratum errors.
-    """
-    if learners.mu is None:
-        try:
-            pair = estimate_mu_dr(
-                train.subset(np.flatnonzero(train.t1 == 1)),
-                learners,
-                final_stage,
-                seed=_derive_seed(seed, k, 24),
-                propensity_clip=propensity_clip,
-            )
-        except StratumError as exc:
-            raise StratumError(f"{where} mu: {exc}") from exc
-        return pair.predict
-    if isinstance(learners.mu, FixedSpec):
-        return learners.mu.fn
-    inner = DteNuisance(rho=rho, nu=nu, propensity_clip=propensity_clip)
-    pseudo = dte_stage2_pseudo_outcome(train, inner)
-    return _fit_learner(learners.mu, train.s1, pseudo, train.t1.astype(np.float64),
-                        "regression", _derive_seed(seed, k, 25), f"{where} mu")
 
 
 def estimate_dte(
@@ -488,15 +452,25 @@ def estimate_dte(
             raise FoldError(f"fold {k}: training data has a single t1 arm")
         _check_stage2_strata(train, f"fold {k}")
         sbar2 = train.sbar2
-        ones = np.ones(train.n)
-        pi = _fit_learner(learners.pi, train.s1, train.t1, ones, "propensity",
+        pi = _fit_learner(learners.pi, train.s1, train.t1, np.ones(train.n), "propensity",
                           _derive_seed(seed, k, 21), f"fold {k} pi")
         rho = _fit_learner(rho_cfg, sbar2, train.t2, train.t1, "propensity",
                            _derive_seed(seed, k, 22), f"fold {k} rho")
         nu = _fit_learner(nu_cfg, sbar2, train.y, train.t1 * train.t2, "regression",
                           _derive_seed(seed, k, 23), f"fold {k} nu")
-        mu = _resolve_mu(learners, final_stage, train, rho, nu,
-                         seed, k, propensity_clip, f"fold {k}")
+        if learners.mu is None:
+            try:
+                mu = estimate_mu_dr(train.subset(np.flatnonzero(train.t1 == 1)), learners,
+                                    final_stage, seed=_derive_seed(seed, k, 24),
+                                    propensity_clip=propensity_clip).predict
+            except (StratumError, ConvergenceError, DivergenceError) as exc:
+                raise type(exc)(f"fold {k} mu: {exc}") from exc
+        elif isinstance(learners.mu, FixedSpec):
+            mu = learners.mu.fn
+        else:
+            inner = DteNuisance(rho=rho, nu=nu, propensity_clip=propensity_clip)
+            mu = _fit_learner(learners.mu, train.s1, dte_stage2_pseudo_outcome(train, inner),
+                              train.t1, "regression", _derive_seed(seed, k, 25), f"fold {k} mu")
         nuis = DteNuisance(pi=pi, rho=rho, nu=nu, mu=mu,
                            propensity_clip=propensity_clip)
         held = data.subset(plan.fold_indices(k))
@@ -528,12 +502,12 @@ def estimate_cde(
 ) -> EstimateReport:
     """Mean outcome at exposure level t with the mediator held at level m.
 
-    Runs the two-stage pipeline with the mediator playing the role of the
-    second-stage treatment: indicators 1{T=t} and 1{M=m} replace t1 and t2.
-    Estimates for two exposure levels at the same mediator level difference
-    to a controlled direct effect.
+    CDE is DTE on relabelled data: ``estimate_dte`` runs with 1{T=t} in
+    place of t1 and 1{M=m} in place of t2, so it uses DTE's folds, seeds and
+    score, and pi is fit on 1{T=t} directly.  Estimates for two exposure
+    levels at the same mediator level difference to a controlled direct
+    effect.
     """
-    _check_settings(n_folds, alpha, propensity_clip)
     if data.m is None:
         raise InputError("estimate_cde requires data with a mediator column")
     t_level, m_level = int(target[0]), int(target[1])
@@ -541,53 +515,11 @@ def estimate_cde(
         raise ConfigurationError(f"exposure level must be 0 or 1, got {t_level}")
     if not np.any(data.m == m_level):
         raise StratumError(f"mediator level m={m_level} never occurs in the data")
-    rho_cfg = _require(learners.rho, "rho")
-    nu_cfg = _require(learners.nu, "nu")
-
-    i1 = (data.t1 == t_level).astype(np.float64)
-    i2 = (data.m == m_level).astype(np.float64)
-    plan = make_folds(data.n, n_folds, seed)
-    scores_by_fold = []
-    for k in range(n_folds):
-        comp = plan.complement_indices(k)
-        train = data.subset(comp)
-        if train.t1.min() == train.t1.max():
-            raise FoldError(f"fold {k}: training data has a single exposure arm")
-        # Relabel so the generic two-stage machinery targets (t, m).
-        relabeled = DteData(train.s1, i1[comp], train.s2, i1[comp] * i2[comp], train.y)
-        _check_stage2_strata(relabeled, f"fold {k}")
-        sbar2 = train.sbar2
-        ones = np.ones(train.n)
-        p_treat = _fit_learner(learners.pi, train.s1, train.t1, ones, "propensity",
-                               _derive_seed(seed, k, 31), f"fold {k} pi")
-        if t_level == 1:
-            pi = p_treat
-        else:
-            pi = lambda s, _p=p_treat: 1.0 - _p(s)
-        rho = _fit_learner(rho_cfg, sbar2, i2[comp], i1[comp], "propensity",
-                           _derive_seed(seed, k, 32), f"fold {k} rho")
-        nu = _fit_learner(nu_cfg, sbar2, train.y, i1[comp] * i2[comp], "regression",
-                          _derive_seed(seed, k, 33), f"fold {k} nu")
-        mu = _resolve_mu(
-            LearnerSpec(pi=learners.pi, mu=learners.mu, rho=rho_cfg, nu=nu_cfg),
-            final_stage, relabeled, rho, nu,
-            _derive_seed(seed, k, 34), 0, propensity_clip, f"fold {k}",
-        )
-        nuis = DteNuisance(pi=pi, rho=rho, nu=nu, mu=mu,
-                           propensity_clip=propensity_clip)
-        held = data.subset(plan.fold_indices(k))
-        scores_by_fold.append(cde_score(held, (t_level, m_level), nuis))
-    theta = float(np.mean([np.mean(s) for s in scores_by_fold]))
-    configs = {
-        "pi": _describe(learners.pi),
-        "rho": _describe(rho_cfg),
-        "nu": _describe(nu_cfg),
-        "mu": None if learners.mu is None else _describe(learners.mu),
-        "final_stage": _describe(final_stage),
-        "propensity_clip": propensity_clip,
-        "target": [t_level, m_level],
-    }
-    return _make_report(f"cde_t{t_level}_m{m_level}", scores_by_fold, theta, alpha, seed, configs)
+    relabelled = DteData(data.s1, data.t1 == t_level, data.s2, data.m == m_level, data.y)
+    report = estimate_dte(relabelled, learners, final_stage, n_folds=n_folds, alpha=alpha,
+                          seed=seed, propensity_clip=propensity_clip)
+    return replace(report, estimand=f"cde_t{t_level}_m{m_level}",
+                   learner_configs={**report.learner_configs, "target": [t_level, m_level]})
 
 
 # ------------------------------------------------------------------ defaults
@@ -609,10 +541,7 @@ def default_final_config(n: int, seed: int = 0) -> MLPConfig:
 
 def default_learner_spec(family: str = "lasso", n: int = 1000, seed: int = 0) -> LearnerSpec:
     """Uniform nuisance family across roles; 'mlp' uses sample-sized networks."""
-    if family == "lasso":
-        cfg = LassoSpec()
-        return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)
-    if family == "mlp":
-        cfg = default_final_config(n, seed)
-        return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)
-    raise ConfigurationError(f"unknown learner family {family!r}")
+    if family not in ("lasso", "mlp"):
+        raise ConfigurationError(f"unknown learner family {family!r}")
+    cfg = LassoSpec() if family == "lasso" else default_final_config(n, seed)
+    return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)

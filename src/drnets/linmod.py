@@ -18,7 +18,6 @@ subgradient stationarity check at tolerance 1e-6.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -291,29 +290,3 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
         if loss < best_loss:  # strict: earlier (larger) lam wins ties
             best_loss, best_lam = loss, float(lam)
     return best_lam
-
-
-def linear_to_dict(model: LinearModel) -> dict:
-    return {
-        "kind": "linear",
-        "coefficients": model.coefficients.tolist(),
-        "intercept": model.intercept,
-        "link": model.link,
-        "lambda": model.lam,
-    }
-
-
-def linear_from_dict(doc: dict) -> LinearModel:
-    if doc.get("kind") != "linear":
-        raise InputError(f"expected kind 'linear', got {doc.get('kind')!r}")
-    beta = np.asarray(doc["coefficients"], dtype=np.float64)
-    beta.flags.writeable = False
-    return LinearModel(beta, float(doc["intercept"]), doc["link"], float(doc["lambda"]))
-
-
-def linear_to_json(model: LinearModel) -> str:
-    return json.dumps(linear_to_dict(model), sort_keys=True)
-
-
-def linear_from_json(text: str) -> LinearModel:
-    return linear_from_dict(json.loads(text))

@@ -144,13 +144,6 @@ def _forward(weights, biases, x):
     return acts, raw
 
 
-def _raw_output(weights, biases, x):
-    a = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
-    return a @ weights[-1][0] + biases[-1][0]
-
-
 def _clamp(raw, bound):
     if bound is None:
         return raw
@@ -160,29 +153,25 @@ def _clamp(raw, bound):
 def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Clamped network output; for logistic loss this is the clamped logit."""
     x = _check_x(x, model.input_dim)
-    return _clamp(_raw_output(model.weights, model.biases, x), model.config.clamp_bound)
+    return _clamp(_forward(model.weights, model.biases, x)[1], model.config.clamp_bound)
+
+
+def _risk(loss, f, y, w, w_sum):
+    """Weight-normalized loss of the clamped outputs f."""
+    per = (f - y) ** 2 if loss == "square" else np.logaddexp(0.0, f) - y * f
+    return float(np.dot(w, per) / w_sum)
 
 
 def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
-    f = _clamp(_raw_output(weights, biases, x), bound)
-    if loss == "square":
-        per = (f - y) ** 2
-    else:
-        per = np.logaddexp(0.0, f) - y * f
-    return float(np.dot(w, per) / w_sum)
+    return _risk(loss, _clamp(_forward(weights, biases, x)[1], bound), y, w, w_sum)
 
 
 def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum):
     """Weight-normalized loss and its gradient in the parameters."""
     acts, raw = _forward(weights, biases, x)
     f = _clamp(raw, bound)
-    if loss == "square":
-        per = (f - y) ** 2
-        dldf = 2.0 * (f - y)
-    else:
-        per = np.logaddexp(0.0, f) - y * f
-        dldf = expit(f) - y
-    value = float(np.dot(w, per) / w_sum)
+    value = _risk(loss, f, y, w, w_sum)
+    dldf = 2.0 * (f - y) if loss == "square" else expit(f) - y
     # Clamp subgradient: pass-through strictly inside, zero at the boundary.
     if bound is not None:
         dldf = np.where(np.abs(raw) < bound, dldf, 0.0)
@@ -214,10 +203,9 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     w_sum = w.sum()
     if w_sum <= 0:
         raise EmptySubgroupError("all sample weights are zero")
-    value, gw, gb = _loss_grad(
+    return _loss_grad(
         model.config.loss, model.config.clamp_bound, model.weights, model.biases, x, y, w, w_sum
     )
-    return value, gw, gb
 
 
 def _check_weights(sample_weight, n) -> np.ndarray:
@@ -327,18 +315,6 @@ def mlp_to_dict(model: MLPModel) -> dict:
     }
 
 
-def mlp_from_dict(doc: dict) -> MLPModel:
-    if doc.get("kind") != "mlp":
-        raise InputError(f"expected kind 'mlp', got {doc.get('kind')!r}")
-    config = MLPConfig(**doc["config"])
-    weights = _frozen([np.asarray(w) for w in doc["weights"]])
-    biases = _frozen([np.asarray(b) for b in doc["biases"]])
-    return MLPModel(config, int(doc["input_dim"]), weights, biases)
-
-
 def mlp_to_json(model: MLPModel) -> str:
     return json.dumps(mlp_to_dict(model), sort_keys=True)
 
-
-def mlp_from_json(text: str) -> MLPModel:
-    return mlp_from_dict(json.loads(text))

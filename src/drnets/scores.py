@@ -4,6 +4,9 @@ Nuisance functions are carried as plain callables evaluated on covariate
 arrays, so fitted models and exact simulation-truth closures are handled
 identically.  Every propensity evaluation is clipped into
 ``[propensity_clip, 1 - propensity_clip]`` before any division.
+
+There is one two-stage score, ``dte_score``.  The controlled direct effect
+score ``cde_score`` is ``dte_score`` on data relabelled to 1{T=t} and 1{M=m}.
 """
 
 from __future__ import annotations
@@ -104,10 +107,13 @@ class DteData:
         return DteData(self.s1[idx], self.t1[idx], self.s2[idx], self.t2[idx], self.y[idx], m)
 
 
-def _check_clip(c: float) -> float:
+def _check_clip(c: float) -> None:
     if not (0.0 < c < 0.5):
         raise ConfigurationError(f"propensity_clip must lie in (0, 0.5), got {c}")
-    return float(c)
+
+
+def _clip(raw, c: float) -> np.ndarray:
+    return np.clip(np.asarray(raw, dtype=np.float64), c, 1.0 - c)
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,7 @@ class CateNuisance:
         _check_clip(self.propensity_clip)
 
     def clipped_pi(self, s: np.ndarray) -> np.ndarray:
-        c = self.propensity_clip
-        return np.clip(np.asarray(self.pi(s), dtype=np.float64), c, 1.0 - c)
+        return _clip(self.pi(s), self.propensity_clip)
 
 
 @dataclass(frozen=True)
@@ -145,15 +150,11 @@ class DteNuisance:
     def __post_init__(self):
         _check_clip(self.propensity_clip)
 
-    def _clip(self, raw: np.ndarray) -> np.ndarray:
-        c = self.propensity_clip
-        return np.clip(np.asarray(raw, dtype=np.float64), c, 1.0 - c)
-
     def clipped_pi(self, s1: np.ndarray) -> np.ndarray:
-        return self._clip(self.pi(s1))
+        return _clip(self.pi(s1), self.propensity_clip)
 
     def clipped_rho(self, sbar2: np.ndarray) -> np.ndarray:
-        return self._clip(self.rho(sbar2))
+        return _clip(self.rho(sbar2), self.propensity_clip)
 
 
 # ------------------------------------------------------------------ folds
@@ -222,21 +223,16 @@ def dte_score(data: DteData, nuis: DteNuisance) -> np.ndarray:
 def cde_score(data: DteData, target: tuple[int, int], nuis: DteNuisance) -> np.ndarray:
     """Score for the mean outcome at exposure level t with mediator held at m.
 
-    The nuisances are understood as arm-specific: ``pi`` predicts
-    P(T = t | s1), ``rho`` predicts P(M = m | history, T = t), ``nu`` and
-    ``mu`` are the corresponding regressions.
+    This is ``dte_score`` on the data relabelled to t1 = 1{T=t} and
+    t2 = 1{M=m}.  The nuisances are understood as arm-specific: ``pi``
+    predicts P(T = t | s1), ``rho`` predicts P(M = m | history, T = t), ``nu``
+    and ``mu`` are the corresponding regressions.
     """
     if data.m is None:
         raise InputError("cde_score requires data with a mediator column")
     t_level, m_level = target
-    i1 = (data.t1 == t_level).astype(np.float64)
-    i2 = i1 * (data.m == m_level).astype(np.float64)
-    sbar2 = data.sbar2
-    pi = nuis.clipped_pi(data.s1)
-    rho = nuis.clipped_rho(sbar2)
-    nu = np.asarray(nuis.nu(sbar2), dtype=np.float64)
-    mu = np.asarray(nuis.mu(data.s1), dtype=np.float64)
-    return mu + i1 * (nu - mu) / pi + i2 * (data.y - nu) / (pi * rho)
+    relabelled = DteData(data.s1, data.t1 == t_level, data.s2, data.m == m_level, data.y)
+    return dte_score(relabelled, nuis)
 
 
 def delta_decomposition(

@@ -11,7 +11,7 @@ means under uniform covariates; rough baselines are dense sawtooth sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -26,7 +26,6 @@ from .estimators import (
     default_final_config,
     estimate_ate,
     estimate_cate,
-    estimate_cde,
     estimate_dte,
 )
 from .scores import CateData, CateNuisance, DteData, delta_decomposition
@@ -481,11 +480,7 @@ def _coverage_rep(args):
         rep = estimate_ate(data, learners, n_folds=n_folds, alpha=alpha,
                            seed=rep_seed)
         theta_true = truth.theta_ate
-    elif config.kind == "cde_binary":
-        rep = estimate_cde(data, (1, 1), learners, final, n_folds=n_folds,
-                           alpha=alpha, seed=rep_seed)
-        theta_true = truth.theta
-    else:
+    else:  # with m == t2, the (1, 1) CDE of a cde_binary draw is its DTE
         rep = estimate_dte(data, learners, final, n_folds=n_folds,
                            alpha=alpha, seed=rep_seed)
         theta_true = truth.theta
@@ -508,10 +503,8 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     tasks = [(config, learner_family, n, alpha, n_folds, _rep_seed(seed, r))
              for r in range(reps)]
     rows = parallel_map(_coverage_rep, tasks)
-    theta_hats = np.array([r[0] for r in rows])
-    sigma_hats = np.array([r[1] for r in rows])
-    widths = np.array([r[3] - r[2] for r in rows])
-    covered = np.array([r[4] for r in rows])
+    theta_hats, sigma_hats, lower, upper, covered = map(np.array, zip(*rows))
+    widths = upper - lower
     if config.kind in CATE_KINDS:
         theta_true = _cate_structure(config)[4]
     else:
@@ -538,31 +531,33 @@ def _rep_seed(seed, r):
 # -------------------------------------------------------- study: rate slope
 
 
-def _grid_mse(estimate, truth, grid):
-    return float(np.mean((estimate.predict(grid) - truth.theta_cate(grid)) ** 2))
-
-
-def _rate_rep(args):
-    (config, family, n, rep_seed) = args
+def _mse_rep(args):
+    """Effect-regression test MSE of one CATE run; ``choose`` picks the learners."""
+    (choose, choice, config, n, rep_seed) = args
     data, truth = gen_cate(config, n, rep_seed)
-    learners = _study_learners(family, truth, config)
-    final = default_final_config(n)
-    est = estimate_cate(data, learners, final, seed=rep_seed)
+    learners = choose(choice, truth, config)
+    est = estimate_cate(data, learners, default_final_config(n), seed=rep_seed)
     grid = np.random.default_rng([config.coef_seed, 23]).uniform(
         -1.0, 1.0, (500, config.d))
-    return _grid_mse(est, truth, grid)
+    return float(np.mean((est.predict(grid) - truth.theta_cate(grid)) ** 2))
+
+
+def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
+    """Validate n_grid and return it with the (reps, len(n_grid)) MSE table."""
+    n_grid = [int(v) for v in n_grid]
+    if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigurationError(
+            f"n_grid must be strictly increasing with >= {min_points} points")
+    tasks = [(choose, choice, config, n, _rep_seed(seed, r * len(n_grid) + i))
+             for r in range(reps) for i, n in enumerate(n_grid)]
+    return n_grid, np.array(parallel_map(_mse_rep, tasks)).reshape(reps, len(n_grid))
 
 
 def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
                      learner_family: str = "mlp") -> dict:
     """Log-log slope of effect-regression test MSE against sample size."""
-    n_grid = [int(v) for v in n_grid]
-    if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n_grid must be strictly increasing with >= 3 points")
-    tasks = [(config, learner_family, n, _rep_seed(seed, r * len(n_grid) + i))
-             for r in range(reps) for i, n in enumerate(n_grid)]
-    flat = parallel_map(_rate_rep, tasks)
-    mse = np.array(flat).reshape(reps, len(n_grid))
+    n_grid, mse = _mse_table(_study_learners, learner_family, config, n_grid,
+                             reps, seed, min_points=3)
     per_n = mse.mean(axis=0)
     slope = float(np.polyfit(np.log(n_grid), np.log(per_n), 1)[0])
     return {
@@ -579,7 +574,7 @@ def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
 # --------------------------------------------- study: double robustness
 
 
-def _dr_learners(misspec: str, config: DgpConfig) -> LearnerSpec:
+def _dr_learners(misspec: str, truth, config: DgpConfig) -> LearnerSpec:
     consistent_mu = default_final_config(2000)
     consistent_pi = LassoSpec(grid_size=8)
     wrong = ConstantSpec()
@@ -592,29 +587,13 @@ def _dr_learners(misspec: str, config: DgpConfig) -> LearnerSpec:
     raise ConfigurationError(f"unknown misspec {misspec!r}")
 
 
-def _dr_rep(args):
-    (config, misspec, n, rep_seed) = args
-    data, truth = gen_cate(config, n, rep_seed)
-    learners = _dr_learners(misspec, config)
-    final = default_final_config(n)
-    est = estimate_cate(data, learners, final, seed=rep_seed)
-    grid = np.random.default_rng([config.coef_seed, 23]).uniform(
-        -1.0, 1.0, (500, config.d))
-    return _grid_mse(est, truth, grid)
-
-
 def double_robustness_study(config: DgpConfig, misspec: str, n_grid,
                             reps: int, seed: int) -> dict:
     """Effect-regression MSE across n with one or both nuisances replaced
     by a fitted constant (a deliberately inconsistent learner)."""
-    n_grid = [int(v) for v in n_grid]
-    if len(n_grid) < 2 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n_grid must be strictly increasing with >= 2 points")
-    _dr_learners(misspec, config)  # validate early
-    tasks = [(config, misspec, n, _rep_seed(seed, r * len(n_grid) + i))
-             for r in range(reps) for i, n in enumerate(n_grid)]
-    flat = parallel_map(_dr_rep, tasks)
-    mse = np.array(flat).reshape(reps, len(n_grid))
+    _dr_learners(misspec, None, config)  # validate before any replication runs
+    n_grid, mse = _mse_table(_dr_learners, misspec, config, n_grid, reps, seed,
+                             min_points=2)
     decreasing = mse[:, -1] < mse[:, 0]
     return {
         "kind": config.kind,

@@ -167,6 +167,26 @@ def test_rerun_from_embedded_config_reproduces(tmp_path):
     assert open(out, "rb").read() == open(out2, "rb").read()
 
 
+@pytest.mark.parametrize("doc", [{"alpha": "0.05"}, {"n": "abc"}, {"seed": "x"},
+                                 {"t_level": "1"}])
+def test_config_value_of_wrong_type_exits_2_before_any_fit(tmp_path, monkeypatch,
+                                                           capsys, doc):
+    src = str(tmp_path / "d.csv")
+    run_cli("simulate", "--dgp", "dte_linear", "--n", "200", "--seed", "1", "--out", src)
+    cfg = str(tmp_path / "run.json")
+    json.dump(doc, open(cfg, "w"))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance was fit before the config was checked")
+
+    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
+    capsys.readouterr()
+    assert run_cli("estimate", "--estimand", "dte", "--data", src,
+                   "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(next(iter(doc))) in err, err
+
+
 def test_config_file_unknown_key_exits_2(tmp_path):
     cfg = str(tmp_path / "run.json")
     json.dump({"dgp": "cate_linear", "banana": 1}, open(cfg, "w"))

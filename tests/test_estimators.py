@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from drnets import estimators
 from drnets.errors import (
     ConfigurationError,
+    ConvergenceError,
     FoldError,
     InputError,
     SplitError,
@@ -38,6 +40,7 @@ from drnets.estimators import (
 )
 from drnets.nnet import MLPConfig, mlp_fit, mlp_predict
 from drnets.scores import CateData, DteData, make_folds
+from drnets.simlab import DgpConfig, gen_dte
 
 
 def const_fn(value):
@@ -291,6 +294,32 @@ def test_cde_requires_mediator_and_observed_level():
         estimate_cde(data, (1, 2), learners, SMALL_FINAL, n_folds=2, seed=0)
     with pytest.raises(ConfigurationError, match="exposure"):
         estimate_cde(data, (3, 1), learners, SMALL_FINAL, n_folds=2, seed=0)
+
+
+@pytest.mark.parametrize("mu", [None, LassoSpec(grid_size=4)])
+def test_cde_with_mediator_t2_is_dte(mu):
+    """CDE is DTE on relabelled data: with m := t2 the (1, 1) CDE report is
+    the DTE report in every field but the estimand and the target config."""
+    d, _ = gen_dte(DgpConfig(kind="dte_linear"), 400, 3)
+    data = DteData(d.s1, d.t1, d.s2, d.t2, d.y, m=d.t2)
+    lasso = LassoSpec(grid_size=4)
+    learners = LearnerSpec(pi=lasso, rho=lasso, nu=lasso, mu=mu)
+    cde = estimate_cde(data, (1, 1), learners, SMALL_FINAL, n_folds=2, seed=5)
+    dte = estimate_dte(d, learners, SMALL_FINAL, n_folds=2, seed=5)
+    assert cde.estimand == "cde_t1_m1"
+    configs = dict(cde.learner_configs)
+    assert configs.pop("target") == [1, 1]
+    assert replace(cde, estimand="dte", learner_configs=configs) == dte
+
+
+def test_nuisance_convergence_failure_names_fold_and_role(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise ConvergenceError("lasso stopped with KKT residual 1.480e-05 > 1e-06")
+
+    monkeypatch.setattr(estimators, "select_lambda", stuck)
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 200, 1)
+    with pytest.raises(ConvergenceError, match="fold 0 pi: lasso stopped with KKT residual"):
+        estimate_dte(data, default_learner_spec("lasso"), SMALL_FINAL, n_folds=2, seed=0)
 
 
 def test_default_helpers():

@@ -17,8 +17,6 @@ from drnets.linmod import (
     LinearModel,
     _lambda_max,
     lasso_fit,
-    linear_from_json,
-    linear_to_json,
     logistic_lasso_fit,
     select_lambda,
 )
@@ -374,18 +372,3 @@ def test_select_lambda_logistic_runs():
     y = (rng.random(80) < expit(1.5 * x[:, 0])).astype(float)
     lam = select_lambda(x, y, "logistic", grid_size=6, seed=1)
     assert lam > 0
-
-
-# ----------------------------------------------------------- serialization
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(14)
-    x = rng.uniform(-1, 1, (30, 2))
-    y = x @ np.array([1.0, -2.0]) + 0.1 * rng.normal(size=30)
-    m = lasso_fit(x, y, 0.05)
-    text = linear_to_json(m)
-    back = linear_from_json(text)
-    assert back.link == "identity" and back.lam == m.lam
-    assert_allclose(back.predict(x), m.predict(x), rtol=0, atol=0)
-    assert linear_to_json(back) == text

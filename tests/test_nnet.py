@@ -22,7 +22,6 @@ from drnets.nnet import (
     MLPConfig,
     MLPModel,
     mlp_fit,
-    mlp_from_json,
     mlp_init,
     mlp_loss_grad,
     mlp_predict,
@@ -355,12 +354,3 @@ def test_logistic_targets_validated():
     x, _ = _toy_problem(n=20)
     with pytest.raises(InputError):
         mlp_fit(x, np.full(20, 0.5), MLPConfig(loss="logistic"))
-
-
-def test_serialization_round_trip():
-    x, y = _toy_problem(n=30)
-    m = mlp_fit(x, y, MLPConfig(depth=2, width=5, epochs=10, seed=6))
-    text = mlp_to_json(m)
-    back = mlp_from_json(text)
-    assert_allclose(mlp_predict(back, x), mlp_predict(m, x), rtol=0, atol=0)
-    assert mlp_to_json(back) == text

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from drnets.errors import ConfigurationError, InputError
 from drnets.scores import (
@@ -207,6 +210,33 @@ def test_cde_score_requires_mediator():
     nuis = DteNuisance(pi=const(0.5), rho=const(0.5), nu=const(0.0), mu=const(0.0))
     with pytest.raises(InputError):
         cde_score(d, (1, 1), nuis)
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       t_level=st.sampled_from([0, 1]), m_level=st.integers(0, 2),
+       clip=st.sampled_from([1e-9, 0.01, 0.2]))
+def test_cde_score_is_dte_score_on_relabelled_data(seed, n, t_level, m_level, clip):
+    rng = np.random.default_rng(seed)
+    d = rand_dte(rng, n)
+    d = DteData(d.s1, d.t1, d.s2, d.t2, d.y, m=rng.integers(0, 3, n).astype(float))
+    a, b, c = rng.normal(size=3)
+    nuis = DteNuisance(
+        pi=lambda s1: expit(a * s1[:, 0]), rho=lambda sb: expit(b * sb[:, -1]),
+        nu=lambda sb: c * sb[:, 1], mu=lambda s1: s1[:, 1] - c, propensity_clip=clip,
+    )
+    got = cde_score(d, (t_level, m_level), nuis)
+    i1 = (d.t1 == t_level).astype(float)
+    i2 = (d.m == m_level).astype(float)
+    relabelled = DteData(d.s1, i1, d.s2, i2, d.y)
+    assert np.array_equal(got, dte_score(relabelled, nuis))
+    # The explicit arm-specific formula, bit for bit.
+    pi, rho = nuis.clipped_pi(d.s1), nuis.clipped_rho(d.sbar2)
+    nu, mu = nuis.nu(d.sbar2), nuis.mu(d.s1)
+    assert np.array_equal(got, mu + i1 * (nu - mu) / pi + i1 * i2 * (d.y - nu) / (pi * rho))
+    # With the mediator equal to t2, the (1, 1) CDE score is the DTE score.
+    d_m = DteData(d.s1, d.t1, d.s2, d.t2, d.y, m=d.t2)
+    assert np.array_equal(cde_score(d_m, (1, 1), nuis), dte_score(d, nuis))
 
 
 # ---------------------------------------------------- delta decomposition
