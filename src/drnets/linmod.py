@@ -31,6 +31,7 @@ from .errors import (
     InputError,
     SeparationError,
 )
+from .nnet import _check_weights
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -72,14 +73,7 @@ def _check_inputs(x, y, lam, sample_weight):
         raise InputError("x and y must be finite")
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
-    if sample_weight is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(sample_weight, dtype=np.float64)
-        if w.shape != (n,):
-            raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise InputError("sample weights must be finite and non-negative")
+    w = _check_weights(sample_weight, n)
     if w.sum() <= 0:
         raise EmptySubgroupError("all sample weights are zero")
     return x, y, w / w.sum()

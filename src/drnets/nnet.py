@@ -136,18 +136,20 @@ def _check_x(x: np.ndarray, input_dim: int | None = None) -> np.ndarray:
 def _forward(weights, biases, x):
     """Return (activations, raw_output); activations[0] is x itself."""
     acts = [x]
-    a = x
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = acts[-1] @ w.T
+        a += b
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
-    raw = a @ weights[-1][0] + biases[-1][0]
+    raw = acts[-1] @ weights[-1][0]
+    raw += biases[-1][0]
     return acts, raw
 
 
 def _clamp(raw, bound):
     if bound is None:
         return raw
-    return np.clip(raw, -bound, bound)
+    return np.minimum(np.maximum(raw, -bound), bound)
 
 
 def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -166,28 +168,45 @@ def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
     return _risk(loss, _clamp(_forward(weights, biases, x)[1], bound), y, w, w_sum)
 
 
-def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum):
-    """Weight-normalized loss and its gradient in the parameters."""
+def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b, value=False):
+    """Write the parameter gradient of the weight-normalized loss into grad_w
+    and grad_b (arrays shaped like weights and biases); return the loss itself
+    only when ``value`` is set."""
+    # The in-place forms below give the plain expressions' values bit for bit.
     acts, raw = _forward(weights, biases, x)
     f = _clamp(raw, bound)
-    value = _risk(loss, f, y, w, w_sum)
-    dldf = 2.0 * (f - y) if loss == "square" else expit(f) - y
+    if loss == "square":
+        dldf = f - y
+        dldf *= 2.0
+    else:
+        dldf = expit(f)
+        dldf -= y
     # Clamp subgradient: pass-through strictly inside, zero at the boundary.
     if bound is not None:
         dldf = np.where(np.abs(raw) < bound, dldf, 0.0)
-    g = (w * dldf) / w_sum
-    grad_w = [None] * len(weights)
-    grad_b = [None] * len(biases)
-    grad_w[-1] = (g @ acts[-1])[None, :]
-    grad_b[-1] = np.array([g.sum()])
-    d = g[:, None] * weights[-1][0]
+    g = w * dldf
+    g /= w_sum
+    np.matmul(g, acts[-1], out=grad_w[-1][0])
+    grad_b[-1][0] = np.add.reduce(g)
+    d = np.multiply.outer(g, weights[-1][0])
     for layer in range(len(weights) - 2, -1, -1):
-        d = d * (acts[layer + 1] > 0)
-        grad_w[layer] = d.T @ acts[layer]
-        grad_b[layer] = d.sum(axis=0)
+        d *= acts[layer + 1] > 0
+        np.matmul(d.T, acts[layer], out=grad_w[layer])
+        np.add.reduce(d, axis=0, out=grad_b[layer])
         if layer > 0:
             d = d @ weights[layer]
-    return value, grad_w, grad_b
+    return _risk(loss, f, y, w, w_sum) if value else None
+
+
+def _views(buf, model: MLPModel):
+    """(weights, biases) lists of views into the flat buffer buf, shaped like
+    the model's and laid out as every weight, then every bias."""
+    out, pos = [], 0
+    for a in model.weights + model.biases:
+        out.append(buf[pos : pos + a.size].reshape(a.shape))
+        pos += a.size
+    k = len(model.weights)
+    return out[:k], out[k:]
 
 
 def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=None):
@@ -203,12 +222,16 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     w_sum = w.sum()
     if w_sum <= 0:
         raise EmptySubgroupError("all sample weights are zero")
-    return _loss_grad(
-        model.config.loss, model.config.clamp_bound, model.weights, model.biases, x, y, w, w_sum
+    grad_w, grad_b = _views(np.empty(model.n_parameters), model)
+    value = _loss_grad(
+        model.config.loss, model.config.clamp_bound, model.weights, model.biases, x, y, w, w_sum,
+        grad_w, grad_b, value=True,
     )
+    return value, grad_w, grad_b
 
 
 def _check_weights(sample_weight, n) -> np.ndarray:
+    """Sample weights as a float array (ones when None); also used by linmod."""
     if sample_weight is None:
         return np.ones(n)
     w = np.asarray(sample_weight, dtype=np.float64)
@@ -227,6 +250,12 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     non-finite value raises DivergenceError naming the epoch) and, when a
     validation fraction is held out, the parameters with the best validation
     loss are returned (ties resolve to the earliest epoch).
+
+    All weights and biases are views into one flat buffer ``theta`` and their
+    gradients views into a second buffer ``grad`` of the same layout, so one
+    update moves every parameter and one copy checkpoints them.  Each epoch
+    gathers the training rows once in permutation order; its batches are then
+    contiguous slices.
     """
     x = _check_x(x)
     y = np.asarray(y, dtype=np.float64)
@@ -246,8 +275,10 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
         bound = max(2.0 * 1.1 * float(np.max(np.abs(y))), 1.0)
         config = replace(config, clamp_bound=bound)
     model0 = mlp_init(config, x.shape[1])
-    weights = [np.array(a) for a in model0.weights]
-    biases = [np.array(a) for a in model0.biases]
+    theta = np.concatenate([a.ravel() for a in model0.weights + model0.biases])
+    grad = np.empty_like(theta)
+    weights, biases = _views(theta, model0)
+    grad_w, grad_b = _views(grad, model0)
 
     rng = np.random.default_rng([config.seed, 1])
     n = x.shape[0]
@@ -263,24 +294,24 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
         use_val = False
     n_train = xt.shape[0]
     wt_sum_full = wt.sum()
+    batches = [slice(start, start + config.batch_size)
+               for start in range(0, n_train, config.batch_size)]
 
     loss, bound, step = config.loss, config.clamp_bound, config.step_size
     train_trace, val_trace = [], []
     best_val = np.inf
-    best_weights = best_biases = None
+    best = None
     # Overflow inside a diverging run is expected; the loss check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_train)
-            for start in range(0, n_train, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                bw = wt[idx]
-                bw_sum = bw.sum()
-                _, gw, gb = _loss_grad(loss, bound, weights, biases, xt[idx], yt[idx], bw, bw_sum)
-                for p, g in zip(weights, gw):
-                    p -= step * g
-                for p, g in zip(biases, gb):
-                    p -= step * g
+            xe, ye, we = xt[order], yt[order], wt[order]
+            for batch in batches:
+                bw = we[batch]
+                _loss_grad(loss, bound, weights, biases, xe[batch], ye[batch], bw,
+                           np.add.reduce(bw), grad_w, grad_b)
+                grad *= step
+                theta -= grad
             epoch_loss = _loss_value(loss, bound, weights, biases, xt, yt, wt, wt_sum_full)
             train_trace.append(epoch_loss)
             if not np.isfinite(epoch_loss):
@@ -290,11 +321,10 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
                 val_trace.append(v)
                 if v < best_val:
                     best_val = v
-                    best_weights = [p.copy() for p in weights]
-                    best_biases = [p.copy() for p in biases]
+                    best = theta.copy()
 
-    if use_val and best_weights is not None:
-        weights, biases = best_weights, best_biases
+    if best is not None:
+        weights, biases = _views(best, model0)
     return MLPModel(
         config,
         x.shape[1],

@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
@@ -259,6 +261,85 @@ def _toy_problem(n=60, p=3, seed=0):
     x = rng.uniform(-1, 1, (n, p))
     y = 0.7 * x[:, 0] - 0.4 * x[:, 1] + 0.1 * rng.normal(size=n)
     return x, y
+
+
+def reference_fit(x, y, config, w):
+    """Plain training loop: a permutation per epoch, fancy-indexed batches,
+    ``mlp_loss_grad`` for every step and per-layer updates."""
+    keep = w > 0
+    x, y, w = x[keep], y[keep], w[keep]
+    model = mlp_init(config, x.shape[1])
+    weights = [np.array(a) for a in model.weights]
+    biases = [np.array(a) for a in model.biases]
+
+    def current():
+        return dataclasses.replace(model, weights=tuple(weights), biases=tuple(biases))
+
+    rng = np.random.default_rng([config.seed, 1])
+    n_val = int(np.floor(len(y) * config.validation_fraction))
+    perm = rng.permutation(len(y))
+    val, train = perm[:n_val], perm[n_val:]
+    train_trace, val_trace = [], []
+    best, best_val = None, np.inf
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
+            idx = train[order[start : start + config.batch_size]]
+            _, gw, gb = mlp_loss_grad(current(), x[idx], y[idx], w[idx])
+            for p, g in zip(weights, gw):
+                p -= config.step_size * g
+            for p, g in zip(biases, gb):
+                p -= config.step_size * g
+        train_trace.append(mlp_loss_grad(current(), x[train], y[train], w[train])[0])
+        if n_val > 0 and w[val].sum() > 0:
+            v = mlp_loss_grad(current(), x[val], y[val], w[val])[0]
+            val_trace.append(v)
+            if v < best_val:
+                best_val = v
+                best = ([p.copy() for p in weights], [p.copy() for p in biases])
+    if best is not None:
+        weights, biases = best
+    return weights, biases, train_trace, val_trace
+
+
+@settings(max_examples=40)
+@given(
+    depth=st.integers(1, 3),
+    width=st.integers(1, 8),
+    p=st.integers(1, 5),
+    n=st.integers(8, 90),
+    batch_size=st.integers(1, 40),
+    loss=st.sampled_from(["square", "logistic"]),
+    clamp_bound=st.sampled_from([0.2, 50.0]),
+    validation_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+    zero_share=st.sampled_from([0.0, 0.3]),
+    step_size=st.sampled_from([0.05, 0.4]),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_matches_reference_loop_bit_for_bit(
+    depth, width, p, n, batch_size, loss, clamp_bound, validation_fraction, zero_share,
+    step_size, seed,
+):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, p))
+    if loss == "logistic":
+        y = (rng.uniform(size=n) < 0.5).astype(np.float64)
+    else:
+        y = x.sum(axis=1) + rng.normal(size=n)
+    w = rng.uniform(0.1, 2.0, n)
+    w[rng.uniform(size=n) < zero_share] = 0.0
+    w[0] = 1.0
+    cfg = MLPConfig(
+        depth=depth, width=width, loss=loss, epochs=4, batch_size=batch_size,
+        step_size=step_size, seed=seed, validation_fraction=validation_fraction,
+        clamp_bound=clamp_bound,
+    )
+    model = mlp_fit(x, y, cfg, sample_weight=w)
+    weights, biases, train_trace, val_trace = reference_fit(x, y, cfg, w)
+    assert all(np.array_equal(a, b) for a, b in zip(model.weights, weights))
+    assert all(np.array_equal(a, b) for a, b in zip(model.biases, biases))
+    assert model.training_loss == tuple(train_trace)
+    assert model.validation_loss == tuple(val_trace)
 
 
 def test_fit_deterministic_bytes():
