@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+import warnings
+from dataclasses import asdict, dataclass, field
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -42,9 +43,6 @@ from .simlab import (
     rate_slope_study,
 )
 
-STUDIES = ("orthogonality", "coverage", "rate_slope", "double_robustness")
-ESTIMANDS = ("ate", "cate", "dte", "cde")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -69,25 +67,33 @@ class RunConfig:
     n_grid: tuple = ()
     dgp_fields: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["n_grid"] = list(self.n_grid)
-        return doc
-
 
 # ------------------------------------------------------------------ CSV I/O
 
+# Each estimand's data file as (stem, field) pairs in column order.  A stem
+# ending in "*" is a numbered block (a1, a2, ...) holding a 2-D field.
+_CATE_LAYOUT = (("s*", "s"), ("t", "t"), ("y", "y"))
+_DTE_LAYOUT = (("a*", "s1"), ("t1", "t1"), ("b*", "s2"), ("t2", "t2"))
+_LAYOUTS = {
+    "ate": _CATE_LAYOUT,
+    "cate": _CATE_LAYOUT,
+    "dte": _DTE_LAYOUT + (("y", "y"),),
+    "cde": _DTE_LAYOUT + (("m", "m"), ("y", "y")),
+}
+ESTIMANDS = tuple(_LAYOUTS)
 
-def _columns_for(kind_or_estimand: str, d: int, d1: int = 0, d2: int = 0,
-                 mediator: bool = False) -> list:
-    if kind_or_estimand in ("ate", "cate") or kind_or_estimand in CATE_KINDS:
-        return [f"s{j + 1}" for j in range(d)] + ["t", "y"]
-    cols = [f"a{j + 1}" for j in range(d1)] + ["t1"]
-    cols += [f"b{j + 1}" for j in range(d2)] + ["t2"]
-    if mediator:
-        cols.append("m")
-    cols.append("y")
-    return cols
+
+def _table(data, estimand: str):
+    """Header fields and value matrix of ``data`` in the estimand's layout."""
+    columns, blocks = [], []
+    for stem, name in _LAYOUTS[estimand]:
+        values = getattr(data, name)
+        if stem.endswith("*"):
+            columns += [f"{stem[:-1]}{j + 1}" for j in range(values.shape[1])]
+        else:
+            columns.append(stem)
+        blocks.append(values)
+    return columns, np.column_stack(blocks)
 
 
 def write_csv(path: str, columns: list, matrix: np.ndarray) -> None:
@@ -97,12 +103,16 @@ def write_csv(path: str, columns: list, matrix: np.ndarray) -> None:
 
 
 def read_csv(path: str):
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            # An empty body is reported below; numpy's own warning would only repeat it.
+            warnings.simplefilter("ignore", UserWarning)
+            names = fh.readline().strip().split(",")
             matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed numeric row ({exc})")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})")
+    except ValueError as exc:
+        raise InputError(f"{path}: malformed numeric row ({exc})")
     if matrix.size == 0:
         raise InputError(f"{path}: no data rows")
     if matrix.shape[1] != len(names):
@@ -111,48 +121,32 @@ def read_csv(path: str):
     return names, matrix
 
 
-def _check_columns(names: list, expected: list) -> None:
-    for i, want in enumerate(expected):
-        got = names[i] if i < len(names) else "<missing>"
-        if got != want:
-            raise InputError(f"column {i + 1}: expected {want!r}, found {got!r}")
-    if len(names) > len(expected):
-        raise InputError(f"column {len(expected) + 1}: unexpected trailing "
-                         f"column {names[len(expected)]!r}")
+def _columns(names: list, layout) -> dict:
+    """Check the header against ``layout`` field by field; map each field to its columns."""
+    out, i = {}, 0
+    for stem, name in layout:
+        start, block = i, stem.endswith("*")
+        if block:
+            stem = stem[:-1]
+            while i < len(names) and names[i] == f"{stem}{i - start + 1}":
+                i += 1
+            stem += "1"  # the field reported when the block is empty
+        elif i < len(names) and names[i] == stem:
+            i += 1
+        if i == start:
+            got = names[i] if i < len(names) else "<missing>"
+            raise InputError(f"column {i + 1}: expected {stem!r}, found {got!r}")
+        out[name] = slice(start, i) if block else start
+    if len(names) > i:
+        raise InputError(f"column {i + 1}: unexpected trailing column {names[i]!r}")
+    return out
 
 
-def _count_prefix(names: list, stem: str) -> int:
-    k = 0
-    while k < len(names) and names[k] == f"{stem}{k + 1}":
-        k += 1
-    return k
-
-
-def _parse_cate_csv(path: str) -> CateData:
+def _read_data(path: str, estimand: str):
     names, matrix = read_csv(path)
-    d = _count_prefix(names, "s")
-    if d == 0:
-        raise InputError(f"column 1: expected 's1', found {names[0]!r}")
-    _check_columns(names, _columns_for("ate", d))
-    return CateData(matrix[:, :d], matrix[:, d], matrix[:, d + 1])
-
-
-def _parse_dte_csv(path: str, mediator: bool) -> DteData:
-    names, matrix = read_csv(path)
-    d1 = _count_prefix(names, "a")
-    if d1 == 0:
-        raise InputError(f"column 1: expected 'a1', found {names[0]!r}")
-    d2 = _count_prefix(names[d1 + 1:], "b")
-    if d2 == 0:
-        raise InputError(f"column {d1 + 2}: expected 'b1', found "
-                         f"{names[d1 + 1] if d1 + 1 < len(names) else '<missing>'!r}")
-    _check_columns(names, _columns_for("dte", 0, d1, d2, mediator))
-    s1 = matrix[:, :d1]
-    t1 = matrix[:, d1]
-    s2 = matrix[:, d1 + 1:d1 + 1 + d2]
-    t2 = matrix[:, d1 + 1 + d2]
-    # The columns were checked above: y is last, and m precedes it when present.
-    return DteData(s1, t1, s2, t2, matrix[:, -1], m=matrix[:, -2] if mediator else None)
+    values = {name: matrix[:, cols]
+              for name, cols in _columns(names, _LAYOUTS[estimand]).items()}
+    return (CateData if estimand in ("ate", "cate") else DteData)(**values)
 
 
 def _write_json(out: str | None, doc: dict) -> None:
@@ -176,14 +170,14 @@ _STUDY_DEFAULTS = {
     "double_robustness": {"dgp": "cate_sparse_smooth", "reps": 30,
                           "n_grid": (1000, 4000)},
 }
+STUDIES = tuple(_STUDY_DEFAULTS)
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 _CONFIG_TYPES = get_type_hints(RunConfig)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge explicit flags over config-file values over defaults."""
-    file_values: dict = {}
+    """Merge explicit flags over config-file values over study defaults."""
+    values: dict = {}
     if getattr(args, "config", None) is not None:
         with open(args.config) as fh:
             try:
@@ -192,9 +186,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 raise ConfigurationError(f"invalid config JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        source = loaded.get("config", loaded)
-        for key, value in source.items():
-            if key not in _CONFIG_KEYS:
+        for key, value in loaded.get("config", loaded).items():
+            if key not in _CONFIG_TYPES:
                 raise ConfigurationError(f"unknown config key {key!r}")
             # Float fields also take ints, n_grid a list of ints; no field takes a bool.
             hint = _CONFIG_TYPES[key]
@@ -203,48 +196,29 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                     type(value) is list and any(type(v) is not int for v in value)):
                 expected = hint if get_args(hint) else hint.__name__
                 raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
-            file_values[key] = value
-
-    values = dict(file_values)
-    values["command"] = args.command
-    if args.command == "diagnose":
-        study = args.study or values.get("study")
-        if study not in STUDIES:
-            raise ConfigurationError(
-                f"unknown study {study!r}; choose from {', '.join(STUDIES)}")
-        values["study"] = study
-        for key, default in _STUDY_DEFAULTS[study].items():
-            values.setdefault(key, default)
-    for key in _CONFIG_KEYS:
+            values[key] = tuple(value) if type(value) is list else value
+    for key in _CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values.pop("command", None)
-    command = args.command
-
-    if "n_grid" in values:
-        values["n_grid"] = tuple(values["n_grid"])
-
-    if command == "simulate":
-        if values.get("dgp") is None:
-            raise ConfigurationError("simulate requires --dgp")
-        if values.get("out") is None:
-            raise ConfigurationError("simulate requires --out")
-    if command == "estimate":
-        if values.get("estimand") not in ESTIMANDS:
+    if args.command == "diagnose":
+        if values.get("study") not in STUDIES:
             raise ConfigurationError(
-                f"estimate requires --estimand from {', '.join(ESTIMANDS)}")
-        if values.get("data") is None:
-            raise ConfigurationError("estimate requires --data")
-    try:
-        return RunConfig(command=command, **values)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc))
+                f"unknown study {values.get('study')!r}; choose from {', '.join(STUDIES)}")
+        values = {**_STUDY_DEFAULTS[values["study"]], **values}
+    run = RunConfig(**values)
+
+    if run.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {run.seed}")
+    if run.command == "estimate" and run.estimand not in ESTIMANDS:
+        raise ConfigurationError(f"estimate requires --estimand from {', '.join(ESTIMANDS)}")
+    for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
+        if getattr(run, key) is None:
+            raise ConfigurationError(f"{run.command} requires --{key}")
+    return run
 
 
 def _dgp_config(run: RunConfig) -> DgpConfig:
-    if run.dgp is None:
-        raise ConfigurationError("a DGP kind is required")
     try:
         return DgpConfig(kind=run.dgp, **run.dgp_fields)
     except TypeError as exc:
@@ -260,22 +234,14 @@ def cmd_simulate(run: RunConfig) -> int:
         raise ConfigurationError(f"n must be >= 1, got {run.n}")
     if config.kind in CATE_KINDS:
         data, truth = gen_cate(config, run.n, run.seed)
-        columns = _columns_for(config.kind, config.d)
-        matrix = np.column_stack([data.s, data.t, data.y])
-        theta = truth.theta_ate
+        estimand, theta = "ate", truth.theta_ate
     else:
         data, truth = gen_dte(config, run.n, run.seed)
-        mediator = config.kind == "cde_binary"
-        columns = _columns_for(config.kind, 0, config.d1, config.d2, mediator)
-        parts = [data.s1, data.t1[:, None], data.s2, data.t2[:, None]]
-        if mediator:
-            parts.append(data.m[:, None])
-        parts.append(data.y[:, None])
-        matrix = np.column_stack(parts)
-        theta = truth.theta
+        estimand, theta = ("dte" if data.m is None else "cde"), truth.theta
+    columns, matrix = _table(data, estimand)
     write_csv(run.out, columns, matrix)
     _write_json(run.out + ".json", {
-        "config": run.to_dict(),
+        "config": asdict(run),
         "columns": columns,
         "n": run.n,
         "theta_true": float(theta),
@@ -284,24 +250,24 @@ def cmd_simulate(run: RunConfig) -> int:
 
 
 def cmd_estimate(run: RunConfig) -> int:
-    if run.estimand in ("ate", "cate"):
-        data = _parse_cate_csv(run.data)
-    else:
-        data = _parse_dte_csv(run.data, mediator=run.estimand == "cde")
+    data = _read_data(run.data, run.estimand)
     learners = default_learner_spec(run.learner_family, data.n, run.seed)
     final = default_final_config(data.n, run.seed)
 
     if run.estimand == "cate":
         est = estimate_cate(data, learners, final, seed=run.seed)
         doc = {
-            "config": run.to_dict(),
+            "config": asdict(run),
             "provenance": est.provenance,
             "model_half1": mlp_to_dict(est.model_half1),
             "model_half2": mlp_to_dict(est.model_half2),
         }
         if run.probe is not None:
             names, grid = read_csv(run.probe)
-            _check_columns(names, [f"s{j + 1}" for j in range(data.s.shape[1])])
+            _columns(names, _CATE_LAYOUT[:1])
+            if grid.shape[1] != data.s.shape[1]:
+                raise InputError(f"{run.probe}: {grid.shape[1]} covariate columns, "
+                                 f"the data has {data.s.shape[1]}")
             doc["probe"] = {"path": run.probe,
                             "predictions": est.predict(grid).tolist()}
         _write_json(run.out, doc)
@@ -317,7 +283,7 @@ def cmd_estimate(run: RunConfig) -> int:
         report = estimate_cde(data, (run.t_level, run.m_level), learners,
                               final, n_folds=run.K, alpha=run.alpha,
                               seed=run.seed)
-    _write_json(run.out, {"config": run.to_dict(),
+    _write_json(run.out, {"config": asdict(run),
                           "report": report_to_dict(report)})
     return 0
 
@@ -339,19 +305,13 @@ def cmd_diagnose(run: RunConfig) -> int:
                                   seed=run.seed)
         passed = result["slope"] <= -0.3
     else:
-        result = {}
-        passed = True
-        for misspec in ("mu_wrong", "pi_wrong", "both_wrong"):
-            table = double_robustness_study(config, misspec,
-                                            list(run.n_grid),
-                                            reps=run.reps, seed=run.seed)
-            result[misspec] = table
-            if misspec == "both_wrong":
-                per_n = table["per_n_mse"]
-                passed = passed and per_n[-1] >= 0.5 * per_n[0]
-            else:
-                passed = passed and table["share_decreasing"] >= 0.8
-    _write_json(run.out, {"config": run.to_dict(), "study": run.study,
+        result = {misspec: double_robustness_study(config, misspec, list(run.n_grid),
+                                                   reps=run.reps, seed=run.seed)
+                  for misspec in ("mu_wrong", "pi_wrong", "both_wrong")}
+        per_n = result["both_wrong"]["per_n_mse"]
+        passed = per_n[-1] >= 0.5 * per_n[0] and all(
+            result[m]["share_decreasing"] >= 0.8 for m in ("mu_wrong", "pi_wrong"))
+    _write_json(run.out, {"config": asdict(run), "study": run.study,
                           "result": result, "passed": passed})
     return 0 if passed else 5
 
@@ -368,19 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="draw a synthetic dataset")
     sim.add_argument("--dgp", choices=CATE_KINDS + DTE_KINDS)
     sim.add_argument("--n", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--out")
-    sim.add_argument("--config")
 
     est = sub.add_parser("estimate", help="run an estimator on a CSV file")
     est.add_argument("--estimand", choices=ESTIMANDS)
     est.add_argument("--data")
-    est.add_argument("--out")
     est.add_argument("--K", type=int)
     est.add_argument("--alpha", type=float)
-    est.add_argument("--seed", type=int)
     est.add_argument("--probe")
-    est.add_argument("--config")
 
     diag = sub.add_parser("diagnose", help="run a Monte Carlo study")
     diag.add_argument("study", nargs="?")
@@ -388,10 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--reps", type=int)
     diag.add_argument("--n", type=int)
     diag.add_argument("--alpha", type=float)
-    diag.add_argument("--seed", type=int)
     diag.add_argument("--scale", type=float)
-    diag.add_argument("--out")
-    diag.add_argument("--config")
+    for cmd in (sim, est, diag):
+        cmd.add_argument("--seed", type=int)
+        cmd.add_argument("--out")
+        cmd.add_argument("--config")
     return parser
 
 

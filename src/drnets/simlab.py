@@ -23,7 +23,9 @@ from .estimators import (
     FixedSpec,
     LassoSpec,
     LearnerSpec,
+    _derive_seed,
     default_final_config,
+    default_learner_spec,
     estimate_ate,
     estimate_cate,
     estimate_dte,
@@ -64,6 +66,12 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in CATE_KINDS + DTE_KINDS:
             raise ConfigurationError(f"unknown DGP kind {self.kind!r}")
+        for name in ("d", "d1", "d2", "q", "coef_seed"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.coef_seed < 0:
+            raise ConfigurationError(f"coef_seed must be >= 0, got {self.coef_seed}")
         dims = (self.d,) if self.kind in CATE_KINDS else (self.d1, self.d2)
         for dim in dims:
             if dim < 1:
@@ -275,14 +283,10 @@ def _dte_structure(config: DgpConfig):
     a2 = raw2 * INDEX_BOUND_DTE / total
     rho0 = _propensity(lambda sb: sb[:, :d1] @ a1 + sb[:, d1:] @ a2)
 
-    if config.kind == "cde_binary":
-        b_t1 = float(rng.uniform(0.4, 0.7)) * es
-        b_t2 = float(rng.uniform(0.8, 1.2)) * es
-        b_int = float(rng.uniform(0.2, 0.4)) * es
-    else:
-        b_t1 = float(rng.uniform(0.4, 0.7)) * es
-        b_t2 = float(rng.uniform(0.3, 0.6)) * es
-        b_int = float(rng.uniform(0.2, 0.4)) * es
+    b_t2_range = (0.8, 1.2) if config.kind == "cde_binary" else (0.3, 0.6)
+    b_t1 = float(rng.uniform(0.4, 0.7)) * es
+    b_t2 = float(rng.uniform(*b_t2_range)) * es
+    b_int = float(rng.uniform(0.2, 0.4)) * es
     b0 = float(rng.uniform(-0.3, 0.3)) * bs
 
     if config.kind == "dte_sparse_smooth":
@@ -411,6 +415,8 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
     """
     if config.kind not in CATE_KINDS:
         raise ConfigurationError("orthogonality_study needs a single-stage kind")
+    if n < 2:
+        raise ConfigurationError(f"n must be at least 2, got {n}")
     data, truth = gen_cate(config, n, seed)
     prng = np.random.default_rng([config.coef_seed, 17])
     bump_pi = _draw_cosine(prng, config.q, (1.0, 1.0))
@@ -461,8 +467,7 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 
 def _study_learners(family: str, truth, config: DgpConfig) -> LearnerSpec:
     if family == "lasso":
-        cfg = LassoSpec(grid_size=8)
-        return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)
+        return default_learner_spec("lasso")
     if family == "mlp":
         net = default_final_config(800)
         return LearnerSpec(pi=LassoSpec(grid_size=8), mu=net, rho=net, nu=net)
@@ -485,7 +490,7 @@ def _coverage_rep(args):
                            alpha=alpha, seed=rep_seed)
         theta_true = truth.theta
     covered = rep.ci_lower <= theta_true <= rep.ci_upper
-    return (rep.theta_hat, rep.sigma_hat, rep.ci_lower, rep.ci_upper, covered)
+    return (rep.theta_hat, rep.sigma_hat, rep.ci_lower, rep.ci_upper, covered, theta_true)
 
 
 def coverage_study(config: DgpConfig, learner_family: str = "lasso",
@@ -500,15 +505,11 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     """
     if reps < 100:
         raise ConfigurationError(f"reps must be at least 100, got {reps}")
-    tasks = [(config, learner_family, n, alpha, n_folds, _rep_seed(seed, r))
+    tasks = [(config, learner_family, n, alpha, n_folds, _derive_seed(seed, r))
              for r in range(reps)]
     rows = parallel_map(_coverage_rep, tasks)
-    theta_hats, sigma_hats, lower, upper, covered = map(np.array, zip(*rows))
+    theta_hats, sigma_hats, lower, upper, covered, truths = map(np.array, zip(*rows))
     widths = upper - lower
-    if config.kind in CATE_KINDS:
-        theta_true = _cate_structure(config)[4]
-    else:
-        theta_true = _dte_structure(config)["theta"]
     return {
         "kind": config.kind,
         "learner_family": learner_family,
@@ -516,16 +517,12 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
         "n": n,
         "alpha": alpha,
         "seed": seed,
-        "theta_true": float(theta_true),
+        "theta_true": float(truths[0]),
         "coverage": float(covered.mean()),
         "mean_ci_width": float(widths.mean()),
         "theta_hats": theta_hats.tolist(),
         "sigma_hats": sigma_hats.tolist(),
     }
-
-
-def _rep_seed(seed, r):
-    return int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
 
 
 # -------------------------------------------------------- study: rate slope
@@ -543,12 +540,14 @@ def _mse_rep(args):
 
 
 def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
-    """Validate n_grid and return it with the (reps, len(n_grid)) MSE table."""
+    """Validate n_grid and reps; return n_grid with the (reps, len(n_grid)) MSE table."""
+    if reps < 1:
+        raise ConfigurationError(f"reps must be at least 1, got {reps}")
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError(
             f"n_grid must be strictly increasing with >= {min_points} points")
-    tasks = [(choose, choice, config, n, _rep_seed(seed, r * len(n_grid) + i))
+    tasks = [(choose, choice, config, n, _derive_seed(seed, r * len(n_grid) + i))
              for r in range(reps) for i, n in enumerate(n_grid)]
     return n_grid, np.array(parallel_map(_mse_rep, tasks)).reshape(reps, len(n_grid))
 

@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from drnets import estimators
-from drnets.cli import (
-    _columns_for,
-    _parse_cate_csv,
-    _parse_dte_csv,
-    main,
-    read_csv,
-    write_csv,
-)
+from drnets.cli import _read_data, main, read_csv, write_csv
 
 
 def run_cli(*argv):
@@ -71,8 +64,8 @@ def test_parse_rejects_wrong_schema(tmp_path):
     run_cli("simulate", "--dgp", "cate_linear", "--n", "30", "--seed", "1",
             "--out", out)
     with pytest.raises(Exception, match="column 1: expected 'a1'"):
-        _parse_dte_csv(out, mediator=False)
-    data = _parse_cate_csv(out)
+        _read_data(out, "dte")
+    data = _read_data(out, "ate")
     assert data.n == 30 and data.s.shape == (30, 4)
 
 
@@ -111,7 +104,7 @@ def test_estimate_cate_probe_predictions(tmp_path):
             "--out", src)
     probe = str(tmp_path / "p.csv")
     grid = np.array([[0.5, 0.1, -0.2, 0.0], [-0.5, 0.0, 0.0, 0.9]])
-    write_csv(probe, _columns_for("ate", 4)[:-2], grid)
+    write_csv(probe, ["s1", "s2", "s3", "s4"], grid)
     out = str(tmp_path / "cate.json")
     assert run_cli("estimate", "--estimand", "cate", "--data", src,
                    "--out", out, "--seed", "4", "--probe", probe) == 0
@@ -317,3 +310,87 @@ def test_stdout_report_when_out_omitted(tmp_path, capsys):
                    "--K", "2", "--seed", "1") == 0
     doc = json.loads(capsys.readouterr().out)
     assert "report" in doc and doc["config"]["estimand"] == "ate"
+
+
+def _csv(header, rows):
+    return ("\n".join([header] + [",".join(r) for r in rows]) + "\n").encode()
+
+
+def _set_cell(r, c, value):
+    def mutate(header, rows):
+        rows[r][c] = value
+        return _csv(header, rows)
+    return mutate
+
+
+# Hostile variants of a dte_linear file (a1..a4, t1, b1, b2, t2, y) with the
+# message each must give.
+_HOSTILE = {
+    "nan": (_set_cell(0, 0, "nan"), "s1 contains non-finite values"),
+    "inf": (_set_cell(0, -1, "inf"), "y contains non-finite values"),
+    "covariate_1.5": (_set_cell(0, 0, "1.5"), "outside the covariate support"),
+    "quoted_header": (lambda h, rows: _csv('"a1"' + h[2:], rows),
+                      "column 1: expected 'a1', found '\"a1\"'"),
+    "duplicate_header": (lambda h, rows: _csv(h.replace("a2", "a1"), rows),
+                         "column 2: expected 't1', found 'a1'"),
+    "ragged_row": (lambda h, rows: _csv(h, rows[:1] + [rows[1][:-1]] + rows[2:]),
+                   "malformed numeric row"),
+    "text_cell": (_set_cell(0, 1, "abc"), "malformed numeric row"),
+    "header_only": (lambda h, rows: _csv(h, []), "no data rows"),
+    "empty": (lambda h, rows: b"", "no data rows"),
+    "non_utf8": (lambda h, rows: b"\xff" + _csv(h, rows), "not UTF-8 text"),
+    "all_treated_t1": (lambda h, rows: _csv(h, [r[:4] + ["1"] + r[5:] for r in rows]),
+                       "single t1 arm"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_hostile_data_file_exits_with_one_line(tmp_path, capsys, case):
+    src = tmp_path / "d.csv"
+    run_cli("simulate", "--dgp", "dte_linear", "--n", "60", "--seed", "2", "--out", str(src))
+    header, *rows = src.read_text().splitlines()
+    mutate, message = _HOSTILE[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(mutate(header, [r.split(",") for r in rows]))
+    capsys.readouterr()
+    code = run_cli("estimate", "--estimand", "dte", "--data", str(bad), "--K", "2")
+    err = capsys.readouterr().err
+    assert code in (2, 4) and err.count("\n") == 1 and message in err, (code, err)
+
+
+def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    run_cli("simulate", "--dgp", "dte_linear", "--n", "200", "--seed", "8", "--out", str(plain))
+    lines = plain.read_text().splitlines(keepends=True)
+    blank.write_text("".join(lines[:50] + ["\n"] + lines[50:]))
+    reports = []
+    for src in (plain, blank):
+        out = tmp_path / f"{src.stem}.json"
+        assert run_cli("estimate", "--estimand", "dte", "--data", str(src),
+                       "--out", str(out), "--K", "2", "--seed", "3") == 0
+        reports.append(out.read_text().replace(str(src), "data.csv").replace(str(out), "r.json"))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["simulate", "--dgp", "dte_linear", "--seed", "-1"], None),
+    (["estimate", "--estimand", "dte", "--data", "d.csv", "--seed", "-1"], None),
+    (["diagnose", "coverage", "--reps", "100", "--n", "50", "--seed", "-3"], None),
+    (["diagnose", "orthogonality", "--n", "0"], None),
+    (["diagnose", "rate_slope", "--reps", "0"], None),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"d1": 2.5}}),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"q": 1.5}}),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"coef_seed": 1.5}}),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"coef_seed": -1}}),
+])
+def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        json.dump(doc, open("cfg.json", "w"))
+        argv = argv + ["--config", "cfg.json"]
+    if argv[0] == "simulate":
+        argv = argv + ["--out", "x.csv"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err

@@ -231,3 +231,33 @@ def test_oracle_learner_spec_round_trip():
     # Exact nuisances and zero noise collapse the scores onto theta(s).
     manual = truth.theta_cate(data.s)
     assert abs(report.theta_hat - manual.mean()) <= 1e-10
+
+
+@pytest.mark.parametrize("fields", [{"d1": 2.5}, {"q": 1.5}, {"d": True},
+                                    {"coef_seed": 1.5}, {"coef_seed": "0"}])
+def test_config_requires_integer_fields(fields):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        DgpConfig(kind="cate_linear", **fields)
+
+
+def test_config_rejects_negative_coef_seed():
+    with pytest.raises(ConfigurationError, match="coef_seed"):
+        DgpConfig(kind="dte_linear", coef_seed=-1)
+
+
+def test_studies_reject_degenerate_sizes():
+    config = DgpConfig(kind="cate_sparse_smooth")
+    with pytest.raises(ConfigurationError, match="n must be at least 2"):
+        orthogonality_study(config, 0.3, 1, 0)
+    with pytest.raises(ConfigurationError, match="reps"):
+        rate_slope_study(config, [400, 800, 1600], reps=0, seed=0)
+    with pytest.raises(ConfigurationError, match="reps"):
+        double_robustness_study(config, "mu_wrong", [400, 800], reps=0, seed=0)
+
+
+def test_coverage_single_stage_oracle_reports_exact_truth():
+    config = DgpConfig(kind="cate_sparse_smooth")
+    out = coverage_study(config, learner_family="oracle", reps=100, n=200,
+                         seed=3, n_folds=2)
+    assert out["theta_true"] == gen_cate(config, 1, 0)[1].theta_ate
+    assert 0.85 <= out["coverage"] <= 1.0
