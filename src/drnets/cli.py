@@ -37,8 +37,7 @@ from .simlab import (
     DgpConfig,
     coverage_study,
     double_robustness_study,
-    gen_cate,
-    gen_dte,
+    generate,
     orthogonality_study,
     rate_slope_study,
 )
@@ -232,11 +231,10 @@ def cmd_simulate(run: RunConfig) -> int:
     config = _dgp_config(run)
     if run.n < 1:
         raise ConfigurationError(f"n must be >= 1, got {run.n}")
+    data, truth = generate(config, run.n, run.seed)
     if config.kind in CATE_KINDS:
-        data, truth = gen_cate(config, run.n, run.seed)
         estimand, theta = "ate", truth.theta_ate
     else:
-        data, truth = gen_dte(config, run.n, run.seed)
         estimand, theta = ("dte" if data.m is None else "cde"), truth.theta
     columns, matrix = _table(data, estimand)
     write_csv(run.out, columns, matrix)

@@ -23,9 +23,8 @@ from scipy.special import expit, ndtri
 
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
-    DivergenceError,
     EmptySubgroupError,
+    EstimationError,
     FoldError,
     InputError,
     SplitError,
@@ -39,6 +38,7 @@ from .scores import (
     DteData,
     DteNuisance,
     _check_clip,
+    _relabel_cde,
     cate_pseudo_outcome,
     dte_score,
     dte_stage2_pseudo_outcome,
@@ -125,21 +125,21 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
     """Fit one nuisance and return a mean-scale prediction closure.
 
     ``role`` names the fold (or half) and nuisance role, e.g. "fold 2 nu",
-    in the error raised when the weighted stratum is too small to fit or a
-    solver fails.
+    in every estimation error raised while fitting: a weighted stratum too
+    small to fit, a single class, a solver failure.
     """
-    if isinstance(cfg, FixedSpec):
-        return cfg.fn
-    if isinstance(cfg, ConstantSpec):
-        if cfg.value is not None:
-            level = float(cfg.value)
-        else:
-            total = w.sum()
-            if total <= 0:
-                raise EmptySubgroupError("all sample weights are zero")
-            level = float(np.dot(w, y) / total)
-        return lambda s, _v=level: np.full(s.shape[0], _v)
     try:
+        if isinstance(cfg, FixedSpec):
+            return cfg.fn
+        if isinstance(cfg, ConstantSpec):
+            if cfg.value is not None:
+                level = float(cfg.value)
+            else:
+                total = w.sum()
+                if total <= 0:
+                    raise EmptySubgroupError("all sample weights are zero")
+                level = float(np.dot(w, y) / total)
+            return lambda s, _v=level: np.full(s.shape[0], _v)
         if isinstance(cfg, MLPConfig):
             loss = "logistic" if kind == "propensity" else "square"
             model = mlp_fit(x, y, replace(cfg, loss=loss, seed=_derive_seed(seed, cfg.seed)), w)
@@ -151,8 +151,6 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
             # Zero-weight rows are inert under weighted losses; dropping them up
             # front keeps the selection holdout inside the stratum.
             keep = np.flatnonzero(w > 0)
-            if keep.size == 0:
-                raise EmptySubgroupError("all sample weights are zero")
             xs, ys, ws = x[keep], y[keep], w[keep]
             lam = cfg.lam
             if lam is None:
@@ -160,10 +158,10 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
                     lam = select_lambda(xs, ys, link, grid_size=cfg.grid_size,
                                         seed=_derive_seed(seed, 1), sample_weight=ws)
                 except InputError as exc:  # the stratum is too small for the holdout split
-                    raise StratumError(f"{role}: {exc}") from exc
+                    raise StratumError(str(exc)) from exc
             fit = logistic_lasso_fit if link == "logistic" else lasso_fit
             return fit(xs, ys, lam, sample_weight=ws).predict
-    except (ConvergenceError, DivergenceError) as exc:
+    except EstimationError as exc:
         raise type(exc)(f"{role}: {exc}") from exc
     raise ConfigurationError(f"unknown learner config {cfg!r}")
 
@@ -258,6 +256,19 @@ def _cate_nuisance(learners, train, seed, tag, where, propensity_clip):
                          _derive_seed(seed, tag, 2), f"{where} mu (treated)"),
         mu0=_fit_learner(mu0_cfg, train.s, train.y, 1.0 - train.t, "regression",
                          _derive_seed(seed, tag, 3), f"{where} mu (control)"),
+        propensity_clip=propensity_clip,
+    )
+
+
+def _stage2_nuisance(learners, train, seed, tag, base, where, propensity_clip):
+    """rho (t1=1 rows) and nu (t1=t2=1 rows) fit on one training set through
+    indicator weights, seeded by ``base`` and ``base + 1``; ``where`` names it."""
+    sbar2 = train.sbar2
+    return DteNuisance(
+        rho=_fit_learner(learners.rho, sbar2, train.t2, train.t1, "propensity",
+                         _derive_seed(seed, tag, base), f"{where} rho"),
+        nu=_fit_learner(learners.nu, sbar2, train.y, train.t1 * train.t2, "regression",
+                        _derive_seed(seed, tag, base + 1), f"{where} nu"),
         propensity_clip=propensity_clip,
     )
 
@@ -390,21 +401,15 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
-    rho_cfg = _require(learners.rho, "rho")
-    nu_cfg = _require(learners.nu, "nu")
+    _require(learners.rho, "rho")
+    _require(learners.nu, "nu")
     idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
 
     def fit_half(model_idx, train_idx, tag):
         train = data.subset(train_idx)
         _check_stage2_strata(train, f"nuisance half {tag}")
-        sbar2 = train.sbar2
-        nuis = DteNuisance(
-            rho=_fit_learner(rho_cfg, sbar2, train.t2, train.t1, "propensity",
-                             _derive_seed(seed, tag, 11), f"nuisance half {tag} rho"),
-            nu=_fit_learner(nu_cfg, sbar2, train.y, train.t1 * train.t2, "regression",
-                            _derive_seed(seed, tag, 12), f"nuisance half {tag} nu"),
-            propensity_clip=propensity_clip,
-        )
+        nuis = _stage2_nuisance(learners, train, seed, tag, 11, f"nuisance half {tag}",
+                                propensity_clip)
         held = data.subset(model_idx)
         if not np.any(held.t1 == 1):
             raise StratumError(f"regression half {tag}: t1=1 stratum is empty")
@@ -437,9 +442,9 @@ def estimate_dte(
     means and attach the plug-in normal interval.
 
     The mu role defaults to the nested network regression.  Setting
-    ``learners.mu`` overrides it: a FixedSpec injects a known function, any
-    other config is fit directly on the stage-two corrected outcomes with
-    weights t1 (no nested split).
+    ``learners.mu`` overrides it: the config is fit directly on the
+    stage-two corrected outcomes with weights t1 (no nested split), so a
+    FixedSpec injects its known function.
     """
     _check_settings(n_folds, alpha, propensity_clip)
     rho_cfg = _require(learners.rho, "rho")
@@ -451,30 +456,23 @@ def estimate_dte(
         if train.t1.min() == train.t1.max():
             raise FoldError(f"fold {k}: training data has a single t1 arm")
         _check_stage2_strata(train, f"fold {k}")
-        sbar2 = train.sbar2
         pi = _fit_learner(learners.pi, train.s1, train.t1, np.ones(train.n), "propensity",
                           _derive_seed(seed, k, 21), f"fold {k} pi")
-        rho = _fit_learner(rho_cfg, sbar2, train.t2, train.t1, "propensity",
-                           _derive_seed(seed, k, 22), f"fold {k} rho")
-        nu = _fit_learner(nu_cfg, sbar2, train.y, train.t1 * train.t2, "regression",
-                          _derive_seed(seed, k, 23), f"fold {k} nu")
+        stage2 = _stage2_nuisance(learners, train, seed, k, 22, f"fold {k}", propensity_clip)
         if learners.mu is None:
             try:
                 mu = estimate_mu_dr(train.subset(np.flatnonzero(train.t1 == 1)), learners,
                                     final_stage, seed=_derive_seed(seed, k, 24),
                                     propensity_clip=propensity_clip).predict
-            except (StratumError, ConvergenceError, DivergenceError) as exc:
+            except InputError as exc:  # the t1=1 rows are too few for the nested split
+                raise StratumError(f"fold {k} mu: {exc}") from exc
+            except EstimationError as exc:
                 raise type(exc)(f"fold {k} mu: {exc}") from exc
-        elif isinstance(learners.mu, FixedSpec):
-            mu = learners.mu.fn
         else:
-            inner = DteNuisance(rho=rho, nu=nu, propensity_clip=propensity_clip)
-            mu = _fit_learner(learners.mu, train.s1, dte_stage2_pseudo_outcome(train, inner),
+            mu = _fit_learner(learners.mu, train.s1, dte_stage2_pseudo_outcome(train, stage2),
                               train.t1, "regression", _derive_seed(seed, k, 25), f"fold {k} mu")
-        nuis = DteNuisance(pi=pi, rho=rho, nu=nu, mu=mu,
-                           propensity_clip=propensity_clip)
         held = data.subset(plan.fold_indices(k))
-        scores_by_fold.append(dte_score(held, nuis))
+        scores_by_fold.append(dte_score(held, replace(stage2, pi=pi, mu=mu)))
     theta = float(np.mean([np.mean(s) for s in scores_by_fold]))
     configs = {
         "pi": _describe(learners.pi),
@@ -508,14 +506,12 @@ def estimate_cde(
     levels at the same mediator level difference to a controlled direct
     effect.
     """
-    if data.m is None:
-        raise InputError("estimate_cde requires data with a mediator column")
     t_level, m_level = int(target[0]), int(target[1])
+    relabelled = _relabel_cde(data, (t_level, m_level))
     if t_level not in (0, 1):
         raise ConfigurationError(f"exposure level must be 0 or 1, got {t_level}")
-    if not np.any(data.m == m_level):
+    if not np.any(relabelled.t2):
         raise StratumError(f"mediator level m={m_level} never occurs in the data")
-    relabelled = DteData(data.s1, data.t1 == t_level, data.s2, data.m == m_level, data.y)
     report = estimate_dte(relabelled, learners, final_stage, n_folds=n_folds, alpha=alpha,
                           seed=seed, propensity_clip=propensity_clip)
     return replace(report, estimand=f"cde_t{t_level}_m{m_level}",

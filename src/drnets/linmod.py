@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     SeparationError,
 )
-from .nnet import _check_weights
+from .nnet import _check_weights, _check_xy
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -62,18 +62,10 @@ class LinearModel:
 
 
 def _check_inputs(x, y, lam, sample_weight):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"x must be 2-D (n, p), got shape {x.shape}")
-    n = x.shape[0]
-    if y.shape != (n,):
-        raise InputError(f"y must have shape ({n},), got {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputError("x and y must be finite")
+    x, y = _check_xy(x, y)
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
-    w = _check_weights(sample_weight, n)
+    w = _check_weights(sample_weight, x.shape[0])
     if w.sum() <= 0:
         raise EmptySubgroupError("all sample weights are zero")
     return x, y, w / w.sum()

@@ -133,6 +133,18 @@ def _check_x(x: np.ndarray, input_dim: int | None = None) -> np.ndarray:
     return x
 
 
+def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x as a finite 2-D array and y as a finite vector with one entry per
+    row of x; also used by linmod."""
+    x = _check_x(x)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x.shape[0],):
+        raise InputError(f"y must have shape ({x.shape[0]},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InputError("y contains non-finite values")
+    return x, y
+
+
 def _forward(weights, biases, x):
     """Return (activations, raw_output); activations[0] is x itself."""
     acts = [x]
@@ -168,10 +180,9 @@ def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
     return _risk(loss, _clamp(_forward(weights, biases, x)[1], bound), y, w, w_sum)
 
 
-def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b, value=False):
+def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b):
     """Write the parameter gradient of the weight-normalized loss into grad_w
-    and grad_b (arrays shaped like weights and biases); return the loss itself
-    only when ``value`` is set."""
+    and grad_b (arrays shaped like weights and biases)."""
     # The in-place forms below give the plain expressions' values bit for bit.
     acts, raw = _forward(weights, biases, x)
     f = _clamp(raw, bound)
@@ -195,7 +206,6 @@ def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b, val
         np.add.reduce(d, axis=0, out=grad_b[layer])
         if layer > 0:
             d = d @ weights[layer]
-    return _risk(loss, f, y, w, w_sum) if value else None
 
 
 def _views(buf, model: MLPModel):
@@ -223,11 +233,9 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     if w_sum <= 0:
         raise EmptySubgroupError("all sample weights are zero")
     grad_w, grad_b = _views(np.empty(model.n_parameters), model)
-    value = _loss_grad(
-        model.config.loss, model.config.clamp_bound, model.weights, model.biases, x, y, w, w_sum,
-        grad_w, grad_b, value=True,
-    )
-    return value, grad_w, grad_b
+    params = (model.config.loss, model.config.clamp_bound, model.weights, model.biases)
+    _loss_grad(*params, x, y, w, w_sum, grad_w, grad_b)
+    return _loss_value(*params, x, y, w, w_sum), grad_w, grad_b
 
 
 def _check_weights(sample_weight, n) -> np.ndarray:
@@ -257,12 +265,7 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     gathers the training rows once in permutation order; its batches are then
     contiguous slices.
     """
-    x = _check_x(x)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise InputError(f"y must have shape ({x.shape[0]},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InputError("y contains non-finite values")
+    x, y = _check_xy(x, y)
     w = _check_weights(sample_weight, x.shape[0])
     keep = w > 0
     if not np.any(keep):
@@ -286,12 +289,8 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     xt, yt, wt = x[train_idx], y[train_idx], w[train_idx]
-    if n_val > 0:
-        xv, yv, wv = x[val_idx], y[val_idx], w[val_idx]
-        wv_sum = wv.sum()
-        use_val = wv_sum > 0
-    else:
-        use_val = False
+    xv, yv, wv = x[val_idx], y[val_idx], w[val_idx]
+    wv_sum = wv.sum()
     n_train = xt.shape[0]
     wt_sum_full = wt.sum()
     batches = [slice(start, start + config.batch_size)
@@ -316,7 +315,7 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
             train_trace.append(epoch_loss)
             if not np.isfinite(epoch_loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            if use_val:
+            if n_val > 0:
                 v = _loss_value(loss, bound, weights, biases, xv, yv, wv, wv_sum)
                 val_trace.append(v)
                 if v < best_val:

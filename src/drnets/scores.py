@@ -228,11 +228,15 @@ def cde_score(data: DteData, target: tuple[int, int], nuis: DteNuisance) -> np.n
     predicts P(T = t | s1), ``rho`` predicts P(M = m | history, T = t), ``nu``
     and ``mu`` are the corresponding regressions.
     """
+    return dte_score(_relabel_cde(data, target), nuis)
+
+
+def _relabel_cde(data: DteData, target) -> DteData:
+    """``data`` with t1 = 1{T=t} and t2 = 1{M=m} for target (t, m)."""
     if data.m is None:
-        raise InputError("cde_score requires data with a mediator column")
+        raise InputError("the CDE requires data with a mediator column")
     t_level, m_level = target
-    relabelled = DteData(data.s1, data.t1 == t_level, data.s2, data.m == m_level, data.y)
-    return dte_score(relabelled, nuis)
+    return DteData(data.s1, data.t1 == t_level, data.s2, data.m == m_level, data.y)
 
 
 def delta_decomposition(

@@ -73,13 +73,16 @@ class DgpConfig:
         if self.coef_seed < 0:
             raise ConfigurationError(f"coef_seed must be >= 0, got {self.coef_seed}")
         dims = (self.d,) if self.kind in CATE_KINDS else (self.d1, self.d2)
-        for dim in dims:
-            if dim < 1:
-                raise ConfigurationError("dimensions must be positive")
-        if not 1 <= self.q <= min(dims[0], self.d):
-            raise ConfigurationError(f"q must lie in [1, d], got {self.q}")
+        if min(dims) < 1:
+            raise ConfigurationError("dimensions must be positive")
+        if not 1 <= self.q <= dims[0]:  # the active coordinates lie in s (or s1)
+            first = "d" if self.kind in CATE_KINDS else "d1"
+            raise ConfigurationError(f"q must lie in [1, {first}], got {self.q}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ConfigurationError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        for name in ("propensity_offset", "effect_scale", "baseline_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.propensity_offset) > 1.0:
             raise ConfigurationError("propensity_offset must lie in [-1, 1]")
 
@@ -377,11 +380,10 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
     """
     if n_mc < 10_000:
         raise ConfigurationError(f"n_mc must be at least 10000, got {n_mc}")
+    _, truth = generate(config, n_mc, seed)
     if config.kind in CATE_KINDS:
-        data, truth = gen_cate(config, n_mc, seed)
         draws = truth.y1 - truth.y0
     else:
-        data, truth = gen_dte(config, n_mc, seed)
         key = (1, 1) if target is None else (int(target[0]), int(target[1]))
         draws = truth.potential[key]
     theta = float(np.mean(draws))
@@ -413,16 +415,16 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
     the perturbation, so its root mean square shrinks fourfold when the
     scale halves.
     """
-    if config.kind not in CATE_KINDS:
-        raise ConfigurationError("orthogonality_study needs a single-stage kind")
     if n < 2:
         raise ConfigurationError(f"n must be at least 2, got {n}")
+    c = float(perturbation_scale)
+    if not np.isfinite(c):
+        raise ConfigurationError(f"perturbation_scale must be finite, got {c}")
     data, truth = gen_cate(config, n, seed)
     prng = np.random.default_rng([config.coef_seed, 17])
     bump_pi = _draw_cosine(prng, config.q, (1.0, 1.0))
     bump_mu1 = _draw_cosine(prng, config.q, (1.0, 1.0))
     bump_mu0 = _draw_cosine(prng, config.q, (1.0, 1.0))
-    c = float(perturbation_scale)
 
     def pi_hat(s):
         p = truth.pi0(s)
@@ -465,7 +467,7 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 # --------------------------------------------------------- study: coverage
 
 
-def _study_learners(family: str, truth, config: DgpConfig) -> LearnerSpec:
+def _study_learners(family: str, truth) -> LearnerSpec:
     if family == "lasso":
         return default_learner_spec("lasso")
     if family == "mlp":
@@ -479,7 +481,7 @@ def _study_learners(family: str, truth, config: DgpConfig) -> LearnerSpec:
 def _coverage_rep(args):
     (config, family, n, alpha, n_folds, rep_seed) = args
     data, truth = generate(config, n, rep_seed)
-    learners = _study_learners(family, truth, config)
+    learners = _study_learners(family, truth)
     final = default_final_config(n)
     if config.kind in CATE_KINDS:
         rep = estimate_ate(data, learners, n_folds=n_folds, alpha=alpha,
@@ -532,7 +534,7 @@ def _mse_rep(args):
     """Effect-regression test MSE of one CATE run; ``choose`` picks the learners."""
     (choose, choice, config, n, rep_seed) = args
     data, truth = gen_cate(config, n, rep_seed)
-    learners = choose(choice, truth, config)
+    learners = choose(choice, truth)
     est = estimate_cate(data, learners, default_final_config(n), seed=rep_seed)
     grid = np.random.default_rng([config.coef_seed, 23]).uniform(
         -1.0, 1.0, (500, config.d))
@@ -573,7 +575,7 @@ def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
 # --------------------------------------------- study: double robustness
 
 
-def _dr_learners(misspec: str, truth, config: DgpConfig) -> LearnerSpec:
+def _dr_learners(misspec: str, truth) -> LearnerSpec:
     consistent_mu = default_final_config(2000)
     consistent_pi = LassoSpec(grid_size=8)
     wrong = ConstantSpec()
@@ -590,7 +592,7 @@ def double_robustness_study(config: DgpConfig, misspec: str, n_grid,
                             reps: int, seed: int) -> dict:
     """Effect-regression MSE across n with one or both nuisances replaced
     by a fitted constant (a deliberately inconsistent learner)."""
-    _dr_learners(misspec, None, config)  # validate before any replication runs
+    _dr_learners(misspec, None)  # validate before any replication runs
     n_grid, mse = _mse_table(_dr_learners, misspec, config, n_grid, reps, seed,
                              min_points=2)
     decreasing = mse[:, -1] < mse[:, 0]

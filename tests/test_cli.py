@@ -6,9 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from drnets import estimators
 from drnets.cli import _read_data, main, read_csv, write_csv
+from drnets.simlab import CATE_KINDS, DTE_KINDS
 
 
 def run_cli(*argv):
@@ -49,10 +52,14 @@ def test_simulate_unwritable_path_is_io_error():
                    "--out", "/nonexistent_dir/x.csv") == 3
 
 
-def test_csv_write_read_write_round_trip(tmp_path):
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(CATE_KINDS + DTE_KINDS), n=st.integers(1, 120),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="cde_binary", n=80, seed=9)
+def test_csv_write_read_write_round_trip(tmp_path, kind, n, seed):
     out = str(tmp_path / "d.csv")
-    run_cli("simulate", "--dgp", "cde_binary", "--n", "80", "--seed", "9",
-            "--out", out)
+    assert run_cli("simulate", "--dgp", kind, "--n", str(n), "--seed", str(seed),
+                   "--out", out) == 0
     names, matrix = read_csv(out)
     again = str(tmp_path / "again.csv")
     write_csv(again, names, matrix)
@@ -383,6 +390,10 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
     (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"q": 1.5}}),
     (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"coef_seed": 1.5}}),
     (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"coef_seed": -1}}),
+    (["simulate", "--dgp", "cate_linear", "--n", "50"],
+     {"dgp_fields": {"propensity_offset": float("nan")}}),
+    (["diagnose", "orthogonality", "--scale", "nan", "--n", "1000"], None),
+    (["diagnose", "orthogonality", "--scale", "inf", "--n", "1000"], None),
 ])
 def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
     monkeypatch.chdir(tmp_path)

@@ -18,6 +18,7 @@ from drnets.errors import (
     ConvergenceError,
     FoldError,
     InputError,
+    SeparationError,
     SplitError,
     StratumError,
 )
@@ -320,6 +321,21 @@ def test_nuisance_convergence_failure_names_fold_and_role(monkeypatch):
     data, _ = gen_dte(DgpConfig(kind="dte_linear"), 200, 1)
     with pytest.raises(ConvergenceError, match="fold 0 pi: lasso stopped with KKT residual"):
         estimate_dte(data, default_learner_spec("lasso"), SMALL_FINAL, n_folds=2, seed=0)
+
+
+def test_nuisance_separation_failure_names_fold_and_role():
+    # Fold 0's t1=1 stratum has 7 rows with a single t2=1 row, which the rho
+    # selection split holds out, leaving one class on its training side.
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 40, 1)
+    with pytest.raises(SeparationError, match="^fold 0 rho: logistic fit needs both classes"):
+        estimate_dte(data, default_learner_spec("lasso"), SMALL_FINAL, n_folds=2, seed=1)
+
+
+def test_tiny_nested_stratum_is_a_stratum_error_naming_the_fold():
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 12, 1)
+    learners = LearnerSpec(pi=ConstantSpec(), rho=ConstantSpec(), nu=ConstantSpec())
+    with pytest.raises(StratumError, match="^fold 0 mu: estimate_mu_dr needs at least 4 rows"):
+        estimate_dte(data, learners, SMALL_FINAL, n_folds=2, seed=1)
 
 
 def test_default_helpers():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
@@ -46,14 +46,20 @@ def rand_dte(rng, n, d1=2, d2=2, mediator=False):
 # ------------------------------------------------------------------- folds
 
 
-def test_make_folds_partition_and_sizes():
-    plan = make_folds(10, 3, seed=0)
-    sizes = sorted(np.bincount(plan.assignments, minlength=3), reverse=True)
-    assert sizes == [4, 3, 3]
-    all_idx = np.concatenate([plan.fold_indices(k) for k in range(3)])
-    assert sorted(all_idx.tolist()) == list(range(10))
-    for k in range(3):
-        assert np.intersect1d(plan.fold_indices(k), plan.complement_indices(k)).size == 0
+@settings(max_examples=50)
+@given(n_folds=st.integers(2, 12), extra=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(n_folds=3, extra=7, seed=0)
+def test_make_folds_partition_and_sizes(n_folds, extra, seed):
+    n = n_folds + extra
+    plan = make_folds(n, n_folds, seed=seed)
+    sizes = np.bincount(plan.assignments, minlength=n_folds).tolist()
+    # Round-robin over a shuffle: the first n % K folds hold one extra row.
+    assert sizes == [n // n_folds + (k < n % n_folds) for k in range(n_folds)]
+    all_idx = np.concatenate([plan.fold_indices(k) for k in range(n_folds)])
+    assert sorted(all_idx.tolist()) == list(range(n))
+    for k in range(n_folds):
+        held, rest = plan.fold_indices(k), plan.complement_indices(k)
+        assert np.intersect1d(held, rest).size == 0 and held.size + rest.size == n
 
 
 def test_make_folds_seed_behavior():
@@ -249,10 +255,13 @@ def smooth_nuisances(shift_pi, shift_mu, clip=0.01):
     return CateNuisance(pi, mu1, mu0, propensity_clip=clip)
 
 
-def test_delta_identity_exact():
-    rng = np.random.default_rng(7)
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0))
+@example(seed=7, scale=0.6)
+def test_delta_identity_exact(seed, scale):
+    rng = np.random.default_rng(seed)
     data = rand_cate(rng, 2000)
-    hat = smooth_nuisances(0.8, 0.6)
+    hat = smooth_nuisances(1.0 - scale / 3.0, scale)
     true = smooth_nuisances(1.0, 0.0)
     d1, d2 = delta_decomposition(data, hat, true)
     diff = cate_pseudo_outcome(data, hat) - cate_pseudo_outcome(data, true)

@@ -245,6 +245,24 @@ def test_config_rejects_negative_coef_seed():
         DgpConfig(kind="dte_linear", coef_seed=-1)
 
 
+def test_two_stage_q_is_bounded_by_d1_alone():
+    config = DgpConfig(kind="dte_linear", d1=40, d2=10, q=6)
+    assert gen_dte(config, 50, 0)[0].s1.shape == (50, 40)
+    with pytest.raises(ConfigurationError, match=r"q must lie in \[1, d1\], got 5"):
+        DgpConfig(kind="dte_linear", d1=4, q=5)
+    # d does not enter a two-stage draw, so a d below q changes nothing.
+    a, _ = gen_dte(DgpConfig(kind="dte_sparse_smooth", q=3), 30, 2)
+    b, _ = gen_dte(DgpConfig(kind="dte_sparse_smooth", q=3, d=1), 30, 2)
+    assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("s1", "t1", "s2", "t2", "y"))
+
+
+@pytest.mark.parametrize("name", ["propensity_offset", "effect_scale", "baseline_scale"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_scales(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        DgpConfig(kind="cate_linear", **{name: value})
+
+
 def test_studies_reject_degenerate_sizes():
     config = DgpConfig(kind="cate_sparse_smooth")
     with pytest.raises(ConfigurationError, match="n must be at least 2"):
