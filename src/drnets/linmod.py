@@ -10,9 +10,14 @@ Each link has one solver, following glmnet (Friedman, Hastie & Tibshirani
 2010, J. Stat. Softw. 33(1)).  The identity link runs cyclic coordinate
 descent with covariance updates: x and y are centred, the weighted Gram
 matrix is built once, and each coordinate step costs O(p) instead of O(n).
-The logistic link runs proximal Newton: each outer step minimizes the
-iteratively reweighted quadratic model with that same coordinate descent,
-then backtracks on the true objective.  Every returned solution passes a
+Once a sweep moves the coefficients without changing any sign, the descent
+has found the support, and the exact minimizer on it solves a linear system:
+the active block of the KKT conditions.  That solution is taken and the
+loop ends if it keeps the signs and passes the stationarity check on every
+coordinate; otherwise descent carries on.  The logistic link runs
+proximal Newton: each outer step minimizes the iteratively reweighted
+quadratic model with that same coordinate descent, finish included, then
+backtracks on the true objective.  Every returned solution passes a
 subgradient stationarity check at tolerance 1e-6.
 """
 
@@ -88,6 +93,32 @@ def _kkt_check(grad, beta, lam, what):
         raise ConvergenceError(f"{what} stopped with KKT residual {worst:.3e} > {_KKT_TOL}")
 
 
+def _active_finish(gram, c, signs, lam):
+    """Exact lasso minimizer on a guessed support, or None if the guess fails.
+
+    With support A and signs s_A, stationarity on A reads
+    G_AA b = c_A - (lam / 2) s_A.  The solution is accepted only if it keeps
+    the signs s_A, every inactive coordinate satisfies |c_j - G_jA b| <= lam / 2,
+    and its KKT residual in the objective's scale is at most 0.1 * 1e-6.
+    Returns (beta, g) with the half-gradient g = c - G @ beta.
+    """
+    act = np.flatnonzero(signs)
+    try:
+        b = np.linalg.solve(gram[np.ix_(act, act)], c[act] - (lam / 2.0) * signs[act])
+    except np.linalg.LinAlgError:  # singular active block
+        return None
+    if not np.array_equal(np.sign(b), signs[act]):
+        return None
+    beta = np.zeros_like(c)
+    beta[act] = b
+    g = c - gram @ beta
+    if np.any(np.abs(g[signs == 0]) > lam / 2.0):
+        return None
+    if _kkt_residual(-2.0 * g, beta, lam) > 0.1 * _KKT_TOL:
+        return None
+    return beta, g
+
+
 def _gram_cd(x, y, w, lam, beta, max_sweeps):
     """Covariance-update coordinate descent on the weighted lasso.
 
@@ -99,7 +130,15 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
     g = c - G @ beta and each coordinate update costs O(p).  A sweep ends
     the loop when no coefficient moved by 1e-8 or more.
 
-    Returns (b0, beta, trace) with one objective value per sweep.
+    A sweep that moved some coefficient but left every sign (and so the
+    support) as it was also tries an exact finish (_active_finish): it
+    solves the active block's KKT system and, if that point passes the
+    checks, takes it as the result and ends the loop.  Otherwise the
+    descent iterate stands and the next sweep runs as usual; a rejected
+    sign pattern is not tried again, as it would give the same candidate.
+
+    Returns (b0, beta, trace) with one objective value per sweep; after a
+    finish, the last value is that of the finished point.
     """
     xbar = w @ x
     ybar = float(w @ y)
@@ -111,8 +150,10 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
     diag = gram.diagonal().tolist()
     half = lam / 2.0
     trace = []
+    rejected = None  # the candidate depends on the signs alone: try each pattern once
     g = c - gram @ beta
     for _ in range(max_sweeps):
+        signs = np.sign(beta)
         delta = 0.0
         for j, gjj in enumerate(diag):
             if gjj <= 0.0:
@@ -124,11 +165,19 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
                 g -= gram[j] * (new - old)
                 beta[j] = new
                 delta = max(delta, abs(new - old))
-        # Rebuilt each sweep to keep accumulated rounding out of the updates.
-        g = c - gram @ beta
+        finished = None
+        if (delta >= 1e-8 and np.array_equal(np.sign(beta), signs)
+                and not np.array_equal(signs, rejected)):
+            finished = _active_finish(gram, c, signs, lam)
+            rejected = signs
+        if finished is None:
+            # Rebuilt each sweep to keep accumulated rounding out of the updates.
+            g = c - gram @ beta
+        else:
+            beta[:], g = finished
         # sum w (yc - xc beta)**2 = syy - 2 c'beta + beta'G beta = syy - beta'(c + g)
         trace.append(syy - float(beta @ (c + g)) + lam * float(np.abs(beta).sum()))
-        if delta < 1e-8:
+        if delta < 1e-8 or finished is not None:
             break
     return ybar - float(xbar @ beta), beta, trace
 
@@ -136,10 +185,11 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
 def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
     """Weighted lasso by covariance-update coordinate descent (see _gram_cd).
 
-    Convergence: max absolute coefficient change in a sweep < 1e-8, capped at
-    10_000 sweeps.  ``_warm`` = (intercept, coefficients) starts the descent
-    from an earlier solution, as along a penalty path; only the coefficients
-    are used, since the intercept follows from them.
+    Convergence: max absolute coefficient change in a sweep < 1e-8, or an
+    accepted exact finish on the support, capped at 10_000 sweeps.
+    ``_warm`` = (intercept, coefficients) starts the descent from an earlier
+    solution, as along a penalty path; only the coefficients are used,
+    since the intercept follows from them.
     """
     x, y, w = _check_inputs(x, y, lam, sample_weight)
     beta = np.zeros(x.shape[1]) if _warm is None else np.array(_warm[1], dtype=np.float64)

@@ -133,10 +133,10 @@ def _check_x(x: np.ndarray, input_dim: int | None = None) -> np.ndarray:
     return x
 
 
-def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x as a finite 2-D array and y as a finite vector with one entry per
-    row of x; also used by linmod."""
-    x = _check_x(x)
+def _check_xy(x, y, input_dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """x as a finite 2-D array (with ``input_dim`` columns, if given) and y as
+    a finite vector with one entry per row of x; also used by linmod."""
+    x = _check_x(x, input_dim)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise InputError(f"y must have shape ({x.shape[0]},), got {y.shape}")
@@ -225,8 +225,7 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     Returns ``(loss, grad_weights, grad_biases)`` with gradient entries shaped
     like ``model.weights`` / ``model.biases``.
     """
-    x = _check_x(x, model.input_dim)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _check_xy(x, y, model.input_dim)
     n = x.shape[0]
     w = _check_weights(sample_weight, n)
     w_sum = w.sum()

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ def test_criterion_9_byte_reproducibility(tmp_path, monkeypatch):
     for out in (a, b):
         assert main(["simulate", "--dgp", "dte_sparse_smooth", "--n", "400",
                      "--seed", "13", "--out", out]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
     config = DgpConfig(kind="dte_linear", noise_sd=0.0, effect_scale=0.0,
                        baseline_scale=0.0)

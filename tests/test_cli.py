@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ def test_simulate_writes_rows_and_sidecar(tmp_path):
     out = str(tmp_path / "d.csv")
     assert run_cli("simulate", "--dgp", "dte_linear", "--n", "100",
                    "--seed", "7", "--out", out) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 101
     assert lines[0] == "a1,a2,a3,a4,t1,b1,b2,t2,y"
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["n"] == 100
     assert sidecar["config"]["seed"] == 7
     assert np.isfinite(sidecar["theta_true"])
@@ -36,9 +37,9 @@ def test_simulate_twice_is_byte_identical(tmp_path):
     for out in (a, b):
         assert run_cli("simulate", "--dgp", "cate_sparse_smooth", "--n", "50",
                        "--seed", "3", "--out", out) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a + ".json").read().replace("a.csv", "b.csv") \
-        == open(b + ".json").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert Path(a + ".json").read_text().replace("a.csv", "b.csv") \
+        == Path(b + ".json").read_text()
 
 
 def test_simulate_rejects_unknown_dgp(tmp_path, capsys):
@@ -63,7 +64,7 @@ def test_csv_write_read_write_round_trip(tmp_path, kind, n, seed):
     names, matrix = read_csv(out)
     again = str(tmp_path / "again.csv")
     write_csv(again, names, matrix)
-    assert open(out, "rb").read() == open(again, "rb").read()
+    assert Path(out).read_bytes() == Path(again).read_bytes()
 
 
 def test_parse_rejects_wrong_schema(tmp_path):
@@ -80,9 +81,9 @@ def test_estimate_missing_t2_column_exits_2(tmp_path, capsys):
     src = str(tmp_path / "d.csv")
     run_cli("simulate", "--dgp", "dte_linear", "--n", "60", "--seed", "2",
             "--out", src)
-    text = open(src).read().replace("t2", "zz")
+    text = Path(src).read_text().replace("t2", "zz")
     bad = str(tmp_path / "bad.csv")
-    open(bad, "w").write(text)
+    Path(bad).write_text(text)
     code = run_cli("estimate", "--estimand", "dte", "--data", bad,
                    "--out", str(tmp_path / "r.json"))
     assert code == 2
@@ -98,8 +99,8 @@ def test_estimate_ate_report_and_alpha_monotonicity(tmp_path):
         assert run_cli("estimate", "--estimand", "ate", "--data", src,
                        "--out", out, "--K", "3", "--seed", "4",
                        "--alpha", alpha) == 0
-    a = json.load(open(wide))["report"]
-    b = json.load(open(narrow))["report"]
+    a = json.loads(Path(wide).read_text())["report"]
+    b = json.loads(Path(narrow).read_text())["report"]
     assert a["theta_hat"] == b["theta_hat"]
     assert b["ci"][1] - b["ci"][0] < a["ci"][1] - a["ci"][0]
     assert a["K"] == 3 and a["n"] == 250
@@ -115,7 +116,7 @@ def test_estimate_cate_probe_predictions(tmp_path):
     out = str(tmp_path / "cate.json")
     assert run_cli("estimate", "--estimand", "cate", "--data", src,
                    "--out", out, "--seed", "4", "--probe", probe) == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert len(doc["probe"]["predictions"]) == 2
     assert "model_half1" in doc and "model_half2" in doc
 
@@ -124,12 +125,12 @@ def test_estimate_cde_runs_on_mediator_file(tmp_path):
     src = str(tmp_path / "m.csv")
     run_cli("simulate", "--dgp", "cde_binary", "--n", "300", "--seed", "5",
             "--out", src)
-    assert open(src).read().splitlines()[0] \
+    assert Path(src).read_text().splitlines()[0] \
         == "a1,a2,a3,a4,t1,b1,b2,t2,m,y"
     out = str(tmp_path / "cde.json")
     assert run_cli("estimate", "--estimand", "cde", "--data", src,
                    "--out", out, "--K", "2", "--seed", "1") == 0
-    assert json.load(open(out))["report"]["estimand"] == "cde_t1_m1"
+    assert json.loads(Path(out).read_text())["report"]["estimand"] == "cde_t1_m1"
 
 
 def test_estimate_same_seed_reproduces_bytes(tmp_path):
@@ -140,20 +141,20 @@ def test_estimate_same_seed_reproduces_bytes(tmp_path):
     for out in outs:
         assert run_cli("estimate", "--estimand", "dte", "--data", src,
                        "--out", out, "--K", "2", "--seed", "3") == 0
-    a, b = (open(o).read() for o in outs)
+    a, b = (Path(o).read_text() for o in outs)
     assert a.replace("r0.json", "r1.json") == b
 
 
 def test_config_file_merging_and_flag_precedence(tmp_path):
     cfg = str(tmp_path / "run.json")
-    json.dump({"dgp": "cate_linear", "n": 40, "seed": 11}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "cate_linear", "n": 40, "seed": 11}))
     out = str(tmp_path / "d.csv")
     assert run_cli("simulate", "--config", cfg, "--out", out,
                    "--seed", "12") == 0
-    sidecar = json.load(open(out + ".json"))
+    sidecar = json.loads(Path(out + ".json").read_text())
     assert sidecar["config"]["seed"] == 12  # flag beats file
     assert sidecar["config"]["n"] == 40    # file beats default
-    assert len(open(out).read().splitlines()) == 41
+    assert len(Path(out).read_text().splitlines()) == 41
 
 
 def test_rerun_from_embedded_config_reproduces(tmp_path):
@@ -161,10 +162,10 @@ def test_rerun_from_embedded_config_reproduces(tmp_path):
     run_cli("simulate", "--dgp", "dte_sparse_smooth", "--n", "60",
             "--seed", "4", "--out", out)
     replay_cfg = str(tmp_path / "replay.json")
-    open(replay_cfg, "w").write(open(out + ".json").read())
+    Path(replay_cfg).write_text(Path(out + ".json").read_text())
     out2 = str(tmp_path / "d2.csv")
     assert run_cli("simulate", "--config", replay_cfg, "--out", out2) == 0
-    assert open(out, "rb").read() == open(out2, "rb").read()
+    assert Path(out).read_bytes() == Path(out2).read_bytes()
 
 
 @pytest.mark.parametrize("doc", [{"alpha": "0.05"}, {"n": "abc"}, {"seed": "x"},
@@ -174,7 +175,7 @@ def test_config_value_of_wrong_type_exits_2_before_any_fit(tmp_path, monkeypatch
     src = str(tmp_path / "d.csv")
     run_cli("simulate", "--dgp", "dte_linear", "--n", "200", "--seed", "1", "--out", src)
     cfg = str(tmp_path / "run.json")
-    json.dump(doc, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps(doc))
 
     def no_fit(*args, **kwargs):
         raise AssertionError("a nuisance was fit before the config was checked")
@@ -189,7 +190,7 @@ def test_config_value_of_wrong_type_exits_2_before_any_fit(tmp_path, monkeypatch
 
 def test_config_file_unknown_key_exits_2(tmp_path):
     cfg = str(tmp_path / "run.json")
-    json.dump({"dgp": "cate_linear", "banana": 1}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "cate_linear", "banana": 1}))
     assert run_cli("simulate", "--config", cfg,
                    "--out", str(tmp_path / "x.csv")) == 2
 
@@ -198,7 +199,7 @@ def test_diagnose_orthogonality_zero_scale_passes(tmp_path):
     out = str(tmp_path / "o.json")
     assert run_cli("diagnose", "orthogonality", "--scale", "0",
                    "--n", "5000", "--out", out) == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["result"]["mean_delta1"] == 0.0
     assert doc["passed"] is True
 
@@ -212,14 +213,14 @@ def test_diagnose_coverage_degenerate_is_out_of_band(tmp_path):
     """Zero-width intervals cover every time; 1.0 sits above the band, so
     the command reports the study yet signals a threshold failure."""
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"dgp": "dte_linear", "learner_family": "oracle",
-               "dgp_fields": {"noise_sd": 0.0, "effect_scale": 0.0,
-                              "baseline_scale": 0.0},
-               "reps": 100, "n": 300}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "dte_linear", "learner_family": "oracle",
+                                     "dgp_fields": {"noise_sd": 0.0, "effect_scale": 0.0,
+                                                    "baseline_scale": 0.0},
+                                     "reps": 100, "n": 300}))
     out = str(tmp_path / "cov.json")
     assert run_cli("diagnose", "coverage", "--config", cfg,
                    "--out", out, "--seed", "2") == 5
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["result"]["coverage"] == 1.0
     assert doc["result"]["mean_ci_width"] == 0.0
     assert doc["passed"] is False
@@ -227,12 +228,12 @@ def test_diagnose_coverage_degenerate_is_out_of_band(tmp_path):
 
 def test_diagnose_coverage_oracle_in_band(tmp_path):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"dgp": "dte_linear", "learner_family": "oracle",
-               "reps": 200, "n": 400}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "dte_linear", "learner_family": "oracle",
+                                     "reps": 200, "n": 400}))
     out = str(tmp_path / "cov.json")
     assert run_cli("diagnose", "coverage", "--config", cfg,
                    "--out", out, "--seed", "2") == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert 0.92 <= doc["result"]["coverage"] <= 0.98
 
 
@@ -240,23 +241,23 @@ def test_diagnose_threshold_failure_exits_5(tmp_path):
     # One replication pins coverage to 0 or 1; alpha close to 1 forces a
     # miss, so the 0.03 band around 1 - alpha cannot hold.
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"dgp": "dte_linear", "learner_family": "oracle",
-               "dgp_fields": {"noise_sd": 0.5},
-               "reps": 100, "n": 200, "alpha": 0.9}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "dte_linear", "learner_family": "oracle",
+                                     "dgp_fields": {"noise_sd": 0.5},
+                                     "reps": 100, "n": 200, "alpha": 0.9}))
     out = str(tmp_path / "cov.json")
     code = run_cli("diagnose", "coverage", "--config", cfg, "--out", out,
                    "--seed", "2")
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert code == 5
     assert doc["passed"] is False
 
 
 def test_study_bytes_do_not_depend_on_worker_cap(tmp_path, monkeypatch):
     cfg = str(tmp_path / "cfg.json")
-    json.dump({"dgp": "dte_linear", "learner_family": "oracle",
-               "dgp_fields": {"noise_sd": 0.0, "effect_scale": 0.0,
-                              "baseline_scale": 0.0},
-               "reps": 100, "n": 200}, open(cfg, "w"))
+    Path(cfg).write_text(json.dumps({"dgp": "dte_linear", "learner_family": "oracle",
+                                     "dgp_fields": {"noise_sd": 0.0, "effect_scale": 0.0,
+                                                    "baseline_scale": 0.0},
+                                     "reps": 100, "n": 200}))
     outs = []
     for i, cap in enumerate(("1", "3")):
         monkeypatch.setenv("DRNETS_THREADS", cap)
@@ -264,7 +265,7 @@ def test_study_bytes_do_not_depend_on_worker_cap(tmp_path, monkeypatch):
         out = str(tmp_path / f"o{i}.json")
         run_cli("diagnose", "coverage", "--config", cfg, "--out", out,
                 "--seed", "3")
-        outs.append(open(out).read().replace(f"o{i}.json", "o.json"))
+        outs.append(Path(out).read_text().replace(f"o{i}.json", "o.json"))
     assert outs[0] == outs[1]
 
 
@@ -398,10 +399,26 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
 def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
     monkeypatch.chdir(tmp_path)
     if doc is not None:
-        json.dump(doc, open("cfg.json", "w"))
+        Path("cfg.json").write_text(json.dumps(doc))
         argv = argv + ["--config", "cfg.json"]
     if argv[0] == "simulate":
         argv = argv + ["--out", "x.csv"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_estimate_with_columns_near_stratum_size_exits_0(tmp_path):
+    """n=300 with p=50 at stage two leaves nu strata of about 50 training
+    rows, so the lasso Gram matrices are singular; the fit must still reach
+    stationarity and the estimate land within 4 standard errors."""
+    src, cfg, out = (str(tmp_path / name) for name in ("d.csv", "cfg.json", "r.json"))
+    Path(cfg).write_text(json.dumps({"dgp_fields": {"d1": 40, "d2": 10, "q": 2,
+                                                    "noise_sd": 1.0}}))
+    assert run_cli("simulate", "--dgp", "dte_linear", "--n", "300", "--seed", "3000",
+                   "--config", cfg, "--out", src) == 0
+    assert run_cli("estimate", "--estimand", "dte", "--data", src, "--out", out) == 0
+    report = json.loads(Path(out).read_text())["report"]
+    theta = json.loads(Path(src + ".json").read_text())["theta_true"]
+    se = report["sigma_hat"] / np.sqrt(report["n"])
+    assert abs(report["theta_hat"] - theta) <= 4.0 * se

@@ -14,7 +14,9 @@ from drnets.errors import (
     SeparationError,
 )
 from drnets.linmod import (
+    _MAX_SWEEPS,
     LinearModel,
+    _gram_cd,
     _lambda_max,
     lasso_fit,
     logistic_lasso_fit,
@@ -55,6 +57,30 @@ def logistic_gradient(x, y, w, model):
     w = w / w.sum()
     g = w * (expit(model.linear_predictor(x)) - y)
     return x.T @ g, float(g.sum())
+
+
+def reference_cd(x, y, w, lam, tol=1e-12):
+    """Plain cyclic coordinate descent on the weighted lasso, with residual
+    updates and no exact finish, run until no coefficient moves by tol.
+
+    Returns (intercept, coefficients, sweeps)."""
+    w = w / w.sum()
+    xbar = w @ x
+    xc = x - xbar
+    beta = np.zeros(x.shape[1])
+    r = y - w @ y
+    sq = w @ xc**2
+    sweeps, delta = 0, np.inf
+    while delta >= tol:
+        sweeps, delta = sweeps + 1, 0.0
+        for j in np.flatnonzero(sq > 0):
+            z = float((w * xc[:, j]) @ r) + sq[j] * beta[j]
+            new = np.sign(z) * max(abs(z) - lam / 2.0, 0.0) / sq[j]
+            if new != beta[j]:
+                r -= xc[:, j] * (new - beta[j])
+                delta = max(delta, abs(new - beta[j]))
+                beta[j] = new
+    return float(w @ y - xbar @ beta), beta, sweeps
 
 
 def check_kkt(grad, grad0, beta, lam, tol=1e-6):
@@ -295,6 +321,105 @@ def test_kkt_residual_within_tolerance_property(seed, n, p, log_frac, link):
         m = logistic_lasso_fit(x, y, lam, sample_weight=w)
         grad, grad0 = logistic_gradient(x, y, w, m)
     check_kkt(grad, grad0, m.coefficients, lam)
+
+
+def _sparse_instance(seed, n, p, link):
+    """x uniform on [-1, 1], a 30%-sparse truth, log-uniform weights in [1e-5, 1]."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, p))
+    eta = x @ (rng.normal(size=p) * (rng.random(p) < 0.3)) + 0.2 * rng.normal()
+    if link == "identity":
+        y = eta + rng.normal(size=n)
+    else:
+        y = (rng.random(n) < expit(eta)).astype(float)
+    return x, y, 10.0 ** rng.uniform(-5.0, 0.0, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 60), extra=st.integers(20, 150),
+       log_frac=st.floats(-3.0, 0.0), link=st.sampled_from(["identity", "logistic"]))
+def test_matches_plain_descent_reference_property(seed, p, extra, log_frac, link):
+    """The exact finish returns the minimizer that plain descent converges to.
+
+    Identity link: lasso_fit itself.  Logistic link: the finish acts on the
+    proximal-Newton subproblems, so the check solves such a subproblem (the
+    working response and curvature weights at the fitted point) from zero.
+    logistic_lasso_fit as a whole stops on a KKT residual of 1e-7, which on
+    ill-conditioned weights leaves its coefficients a few 1e-7 from the
+    optimum, so comparing those at 1e-7 would test the stopping rule instead.
+    """
+    n = p + extra
+    x, y, w = _sparse_instance(seed, n, p, link)
+    if y.min() == y.max():
+        return
+    lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
+    if link == "identity":
+        m = lasso_fit(x, y, lam, sample_weight=w)
+        b0, beta = m.intercept, m.coefficients
+    else:
+        m = logistic_lasso_fit(x, y, lam, sample_weight=w)
+        eta = m.linear_predictor(x)
+        prob = expit(eta)
+        v = np.maximum(prob * (1.0 - prob), 1e-5)
+        y, w, lam = eta + (y - prob) / v, w * v / (w * v).sum(), 2.0 * lam * w.sum() / (w @ v)
+        b0, beta, _ = _gram_cd(x, y, w, lam, np.zeros(p), _MAX_SWEEPS)
+    ref_b0, ref_beta, _ = reference_cd(x, y, w, lam)
+    assert_allclose(beta, ref_beta, rtol=0, atol=1e-7)
+    assert b0 == pytest.approx(ref_b0, abs=1e-7)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(10, 60), short=st.integers(1, 50),
+       log_frac=st.floats(-3.0, 0.0), link=st.sampled_from(["identity", "logistic"]))
+def test_kkt_when_columns_outnumber_rows_property(seed, p, short, log_frac, link):
+    """With n < p the Gram matrix is singular and the minimizer need not be
+    unique; every fit must still be stationary."""
+    n = max(p - short, 5)
+    x, y, w = _sparse_instance(seed, n, p, link)
+    if y.min() == y.max():
+        return
+    lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
+    if link == "identity":
+        m = lasso_fit(x, y, lam, sample_weight=w)
+        grad, grad0 = identity_gradient(x, y, w, m)
+    else:
+        m = logistic_lasso_fit(x, y, lam, sample_weight=w)
+        grad, grad0 = logistic_gradient(x, y, w, m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+
+
+def test_singular_active_block_falls_back_to_descent():
+    """Two equal columns, both active with one sign, make the active block of
+    the Gram matrix singular, so the finish has no solution to offer; the
+    fit converges through coordinate descent instead."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1, 1, (200, 4))
+    x = np.column_stack([x, x[:, 0]])
+    y = 2.0 * x[:, 0] - x[:, 1] + 0.3 * rng.normal(size=200)
+    lam = 0.01
+    warm = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+    m = lasso_fit(x, y, lam, _warm=(0.0, warm))
+    active = np.flatnonzero(m.coefficients)
+    assert {0, 4} <= set(active)
+    assert m.coefficients[0] > 0 and m.coefficients[4] > 0
+    xc = x[:, active] - x[:, active].mean(axis=0)
+    assert np.linalg.matrix_rank(xc.T @ xc) < active.size
+    grad, grad0 = identity_gradient(x, y, np.ones(200), m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+
+
+def test_finish_ends_well_conditioned_fit_early():
+    """n=2000, p=50, x uniform, a 10-sparse truth: plain descent stopping at
+    a 1e-8 move needed 8 sweeps per fit here and the finish 3 (measured
+    before and after it was added), so 4 leaves room for rounding."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (2000, 50))
+    y = x[:, :10] @ rng.normal(size=10) + rng.normal(size=2000)
+    w = np.ones(2000)
+    lam = 0.01 * _lambda_max(x, y, w / 2000, "identity")
+    m = lasso_fit(x, y, lam)
+    *_, plain_sweeps = reference_cd(x, y, w, lam, tol=1e-8)
+    assert len(m.objective_trace) <= 4 < plain_sweeps
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])

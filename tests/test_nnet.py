@@ -238,6 +238,20 @@ def test_gradient_zero_beyond_clamp():
     del cfg
 
 
+def test_loss_grad_rejects_column_target():
+    m = mlp_init(MLPConfig(depth=1, width=2, clamp_bound=1.0), 2)
+    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
+    with pytest.raises(InputError, match="y must have shape"):
+        mlp_loss_grad(m, x, np.zeros((4, 1)))
+
+
+def test_loss_grad_rejects_nan_target():
+    m = mlp_init(MLPConfig(depth=1, width=2, clamp_bound=1.0), 2)
+    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
+    with pytest.raises(InputError, match="non-finite"):
+        mlp_loss_grad(m, x, np.array([0.0, np.nan, 1.0, 0.5]))
+
+
 def test_weighted_gradient_is_weighted_average():
     rng = np.random.default_rng(9)
     m = mlp_init(MLPConfig(depth=2, width=3, seed=4, clamp_bound=20.0), 2)
