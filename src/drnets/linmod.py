@@ -71,25 +71,23 @@ def _check_inputs(x, y, lam, sample_weight):
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
     w = _check_weights(sample_weight, x.shape[0])
-    if w.sum() <= 0:
+    total = np.add.reduce(w)
+    if total <= 0:
         raise EmptySubgroupError("all sample weights are zero")
-    return x, y, w / w.sum()
+    return x, y, w / total
 
 
 def _kkt_residual(grad, beta, lam):
-    zero = beta == 0
-    worst = 0.0
-    if np.any(zero):
-        worst = max(worst, float(np.max(np.abs(grad[zero])) - lam))
-    if np.any(~zero):
-        worst = max(worst, float(np.max(np.abs(grad[~zero] + lam * np.sign(beta[~zero])))))
-    return worst
+    """Largest subgradient violation, at least 0: |g_j| - lam on a zero
+    coordinate (where sign is 0.0), |g_j + lam * sign(beta_j)| elsewhere.
+    A NaN anywhere gives NaN, so gates written as ``not (r <= tol)`` fail."""
+    return float((np.abs(grad + lam * np.sign(beta)) - lam * (beta == 0)).max(initial=0.0))
 
 
 def _kkt_check(grad, beta, lam, what):
     """Subgradient stationarity: raise if the returned point is not a minimum."""
     worst = _kkt_residual(grad, beta, lam)
-    if worst > _KKT_TOL:
+    if not worst <= _KKT_TOL:
         raise ConvergenceError(f"{what} stopped with KKT residual {worst:.3e} > {_KKT_TOL}")
 
 
@@ -102,19 +100,19 @@ def _active_finish(gram, c, signs, lam):
     and its KKT residual in the objective's scale is at most 0.1 * 1e-6.
     Returns (beta, g) with the half-gradient g = c - G @ beta.
     """
-    act = np.flatnonzero(signs)
+    act = signs.nonzero()[0]
     try:
-        b = np.linalg.solve(gram[np.ix_(act, act)], c[act] - (lam / 2.0) * signs[act])
+        b = np.linalg.solve(gram[act][:, act], c[act] - (lam / 2.0) * signs[act])
     except np.linalg.LinAlgError:  # singular active block
         return None
-    if not np.array_equal(np.sign(b), signs[act]):
+    if not (np.sign(b) == signs[act]).all():
         return None
-    beta = np.zeros_like(c)
+    beta = np.zeros(c.shape)
     beta[act] = b
     g = c - gram @ beta
-    if np.any(np.abs(g[signs == 0]) > lam / 2.0):
+    if (np.abs(g[signs == 0]) > lam / 2.0).any():
         return None
-    if _kkt_residual(-2.0 * g, beta, lam) > 0.1 * _KKT_TOL:
+    if not _kkt_residual(-2.0 * g, beta, lam) <= 0.1 * _KKT_TOL:
         return None
     return beta, g
 
@@ -166,8 +164,8 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
                 beta[j] = new
                 delta = max(delta, abs(new - old))
         finished = None
-        if (delta >= 1e-8 and np.array_equal(np.sign(beta), signs)
-                and not np.array_equal(signs, rejected)):
+        if (delta >= 1e-8 and (np.sign(beta) == signs).all()
+                and (rejected is None or not (signs == rejected).all())):
             finished = _active_finish(gram, c, signs, lam)
             rejected = signs
         if finished is None:
@@ -176,7 +174,7 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
         else:
             beta[:], g = finished
         # sum w (yc - xc beta)**2 = syy - 2 c'beta + beta'G beta = syy - beta'(c + g)
-        trace.append(syy - float(beta @ (c + g)) + lam * float(np.abs(beta).sum()))
+        trace.append(syy - float(beta @ (c + g)) + lam * float(np.add.reduce(np.abs(beta))))
         if delta < 1e-8 or finished is not None:
             break
     return ybar - float(xbar @ beta), beta, trace
@@ -195,7 +193,7 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
     beta = np.zeros(x.shape[1]) if _warm is None else np.array(_warm[1], dtype=np.float64)
     b0, beta, trace = _gram_cd(x, y, w, lam, beta, _MAX_SWEEPS)
     r = y - b0 - x @ beta
-    if abs(float(w @ r)) > _KKT_TOL:
+    if not abs(float(w @ r)) <= _KKT_TOL:
         raise ConvergenceError("lasso intercept failed stationarity")
     _kkt_check(-2.0 * (x.T @ (w * r)), beta, lam, "lasso")
     beta.flags.writeable = False
@@ -203,7 +201,7 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
 
 
 def _logistic_objective(eta, y, w, beta, lam):
-    return float(w @ (np.logaddexp(0.0, eta) - y * eta) + lam * np.abs(beta).sum())
+    return float(w @ (np.logaddexp(0.0, eta) - y * eta) + lam * np.add.reduce(np.abs(beta)))
 
 
 def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
@@ -227,10 +225,10 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
     starts with its objective and gains one value per outer step.
     """
     x, y, w = _check_inputs(x, y, lam, sample_weight)
-    labels = np.unique(y[w > 0])
-    if not np.all((y == 0) | (y == 1)):
+    if not ((y == 0) | (y == 1)).all():
         raise InputError("logistic fit requires 0/1 labels")
-    if labels.size < 2:
+    weighted = y[w > 0]  # never empty: _check_inputs saw a positive total weight
+    if weighted.min() == weighted.max():
         raise SeparationError("logistic fit needs both classes among weighted rows")
     if _warm is not None:
         b0, beta = float(_warm[0]), np.array(_warm[1], dtype=np.float64)
@@ -243,12 +241,12 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
     for _ in range(_MAX_NEWTON):
         prob = expit(eta)
         g = w * (prob - y)
-        if move < 1e-6 and max(abs(float(g.sum())),
-                               _kkt_residual(x.T @ g, beta, lam)) <= 0.1 * _KKT_TOL:
+        if (move < 1e-6 and abs(float(np.add.reduce(g))) <= 0.1 * _KKT_TOL
+                and _kkt_residual(x.T @ g, beta, lam) <= 0.1 * _KKT_TOL):
             break
         v = np.maximum(prob * (1.0 - prob), 1e-5)
         ww = w * v
-        total = float(ww.sum())
+        total = float(np.add.reduce(ww))
         new_b0, new_beta, _ = _gram_cd(x, eta + (y - prob) / v, ww / total,
                                        2.0 * lam / total, beta.copy(), _INNER_SWEEPS)
         db0, dbeta = new_b0 - b0, new_beta - beta
@@ -262,11 +260,11 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
             scale *= 0.5
         else:
             break  # no descent along the Newton direction; the checks below decide
-        move = max(abs(cand_b0 - b0), float(np.max(np.abs(cand_beta - beta), initial=0.0)))
+        move = max(abs(cand_b0 - b0), float(np.abs(cand_beta - beta).max(initial=0.0)))
         b0, beta, eta, obj = cand_b0, cand_beta, cand_eta, cand_obj
         trace.append(obj)
     g = w * (expit(eta) - y)
-    if abs(float(g.sum())) > _KKT_TOL:
+    if not abs(float(np.add.reduce(g))) <= _KKT_TOL:
         raise ConvergenceError("logistic lasso intercept failed stationarity")
     _kkt_check(x.T @ g, beta, lam, "logistic lasso")
     beta.flags.writeable = False
@@ -296,7 +294,10 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
     """Pick lam on a log-spaced grid by 80/20 holdout loss; ties favor more shrinkage.
 
     The grid runs from lambda_max (the null-fit threshold on the full sample)
-    down to lambda_max * 1e-3.  Fits along the path are warm-started.
+    down to lambda_max * 1e-3, or to lambda_max * 1e-2 when the training
+    split has fewer rows than x has columns (glmnet's lambda.min.ratio):
+    there the small penalties fit noise and their Gram blocks are singular.
+    Fits along the path are warm-started.
     """
     if link not in _LINKS:
         raise ConfigurationError(f"link must be one of {_LINKS}, got {link!r}")
@@ -314,15 +315,17 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
         raise EmptySubgroupError("holdout split left a side with zero total weight")
 
     lam_hi = max(_lambda_max(x, y, w, link), 1e-12)
-    grid = np.geomspace(lam_hi, lam_hi * 1e-3, grid_size)
+    floor = 1e-2 if train.size < x.shape[1] else 1e-3
+    grid = np.geomspace(lam_hi, lam_hi * floor, grid_size)
     fit = lasso_fit if link == "identity" else logistic_lasso_fit
     xt, yt, wt = x[train], y[train], w[train]
+    xh, yh, wh = x[hold], y[hold], w[hold]
     best_lam, best_loss = None, np.inf
     warm = None
     for lam in grid:
         model = fit(xt, yt, lam, sample_weight=wt, _warm=warm)
         warm = (model.intercept, model.coefficients)
-        loss = _holdout_loss(model, x[hold], y[hold], w[hold])
+        loss = _holdout_loss(model, xh, yh, wh)
         if loss < best_loss:  # strict: earlier (larger) lam wins ties
             best_loss, best_lam = loss, float(lam)
     return best_lam

@@ -128,7 +128,7 @@ def _check_x(x: np.ndarray, input_dim: int | None = None) -> np.ndarray:
         raise InputError(f"x must be 2-D (n, p), got shape {x.shape}")
     if input_dim is not None and x.shape[1] != input_dim:
         raise InputError(f"x has {x.shape[1]} columns, model expects {input_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("x contains non-finite values")
     return x
 
@@ -140,7 +140,7 @@ def _check_xy(x, y, input_dim: int | None = None) -> tuple[np.ndarray, np.ndarra
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise InputError(f"y must have shape ({x.shape[0]},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InputError("y contains non-finite values")
     return x, y
 
@@ -244,7 +244,7 @@ def _check_weights(sample_weight, n) -> np.ndarray:
     w = np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (n,):
         raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    if not np.isfinite(w).all() or (w < 0).any():
         raise InputError("sample weights must be finite and non-negative")
     return w
 

@@ -410,15 +410,18 @@ def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, 
 
 def test_estimate_with_columns_near_stratum_size_exits_0(tmp_path):
     """n=300 with p=50 at stage two leaves nu strata of about 50 training
-    rows, so the lasso Gram matrices are singular; the fit must still reach
-    stationarity and the estimate land within 4 standard errors."""
-    src, cfg, out = (str(tmp_path / name) for name in ("d.csv", "cfg.json", "r.json"))
+    rows, so the lasso Gram matrices are singular; n=80 leaves about 16, so
+    p > n.  The fits must still reach stationarity and each estimate land
+    within 4 standard errors."""
+    cfg = str(tmp_path / "cfg.json")
     Path(cfg).write_text(json.dumps({"dgp_fields": {"d1": 40, "d2": 10, "q": 2,
                                                     "noise_sd": 1.0}}))
-    assert run_cli("simulate", "--dgp", "dte_linear", "--n", "300", "--seed", "3000",
-                   "--config", cfg, "--out", src) == 0
-    assert run_cli("estimate", "--estimand", "dte", "--data", src, "--out", out) == 0
-    report = json.loads(Path(out).read_text())["report"]
-    theta = json.loads(Path(src + ".json").read_text())["theta_true"]
-    se = report["sigma_hat"] / np.sqrt(report["n"])
-    assert abs(report["theta_hat"] - theta) <= 4.0 * se
+    for n in ("300", "80"):
+        src, out = str(tmp_path / f"d{n}.csv"), str(tmp_path / f"r{n}.json")
+        assert run_cli("simulate", "--dgp", "dte_linear", "--n", n, "--seed", "3000",
+                       "--config", cfg, "--out", src) == 0
+        assert run_cli("estimate", "--estimand", "dte", "--data", src, "--out", out) == 0
+        report = json.loads(Path(out).read_text())["report"]
+        theta = json.loads(Path(src + ".json").read_text())["theta_true"]
+        se = report["sigma_hat"] / np.sqrt(report["n"])
+        assert abs(report["theta_hat"] - theta) <= 4.0 * se, n

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
+from drnets import linmod
 from drnets.errors import (
     ConfigurationError,
+    ConvergenceError,
     EmptySubgroupError,
     InputError,
     SeparationError,
@@ -17,6 +19,7 @@ from drnets.linmod import (
     _MAX_SWEEPS,
     LinearModel,
     _gram_cd,
+    _kkt_residual,
     _lambda_max,
     lasso_fit,
     logistic_lasso_fit,
@@ -81,6 +84,18 @@ def reference_cd(x, y, w, lam, tol=1e-12):
                 delta = max(delta, abs(new - beta[j]))
                 beta[j] = new
     return float(w @ y - xbar @ beta), beta, sweeps
+
+
+def reference_kkt_residual(grad, beta, lam):
+    """The two-mask form of the KKT residual: the largest |g_j| - lam over
+    zero coordinates and |g_j + lam * sign(beta_j)| over the rest, floored at 0."""
+    zero = beta == 0
+    worst = 0.0
+    if np.any(zero):
+        worst = max(worst, float(np.max(np.abs(grad[zero])) - lam))
+    if np.any(~zero):
+        worst = max(worst, float(np.max(np.abs(grad[~zero] + lam * np.sign(beta[~zero])))))
+    return worst
 
 
 def check_kkt(grad, grad0, beta, lam, tol=1e-6):
@@ -388,6 +403,38 @@ def test_kkt_when_columns_outnumber_rows_property(seed, p, short, log_frac, link
     check_kkt(grad, grad0, m.coefficients, lam)
 
 
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 60),
+       zeros=st.sampled_from(["none", "all", "some"]),
+       lam=st.just(0.0) | st.floats(0.0, 10.0))
+def test_kkt_residual_matches_two_mask_reference_property(seed, p, zeros, lam):
+    """The one-expression residual equals the two-mask form bit for bit,
+    signed zeros in the gradient and the coefficients included."""
+    rng = np.random.default_rng(seed)
+    grad = rng.normal(size=p) * 10.0 ** rng.uniform(-3.0, 1.0, p)
+    grad[rng.random(p) < 0.1] = rng.choice([0.0, -0.0])
+    beta = rng.normal(size=p)
+    zero = {"none": np.zeros(p, bool), "all": np.ones(p, bool),
+            "some": rng.random(p) < rng.random()}[zeros]
+    beta[zero] = np.where(rng.random(p) < 0.5, 0.0, -0.0)[zero]
+    assert _kkt_residual(grad, beta, lam) == reference_kkt_residual(grad, beta, lam)
+
+
+def test_overflowing_design_raises_instead_of_returning_nan():
+    """x of order 1e200 is finite, but its Gram matrix overflows and the
+    descent ends on NaN coefficients.  A NaN comparison is false, so every
+    stationarity gate is written to fail on NaN rather than pass it."""
+    assert np.isnan(_kkt_residual(np.array([np.nan, 0.0]), np.zeros(2), 0.1))
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(50, 3)) * 1e200
+    y = rng.normal(size=50)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError):
+            lasso_fit(x, y, 0.1)
+        with pytest.raises(ConvergenceError):
+            select_lambda(x, y)
+
+
 def test_singular_active_block_falls_back_to_descent():
     """Two equal columns, both active with one sign, make the active block of
     the Gram matrix singular, so the finish has no solution to offer; the
@@ -489,6 +536,27 @@ def test_select_lambda_deterministic_and_validated():
         select_lambda(x, y, grid_size=1)
     with pytest.raises(ConfigurationError):
         select_lambda(x, y, link="probit")
+
+
+@pytest.mark.parametrize(("n", "p", "floor"), [(48, 50, 1e-2), (80, 50, 1e-3),
+                                                (11, 10, 1e-2), (12, 10, 1e-3)])
+def test_select_lambda_grid_floor_follows_training_rows(monkeypatch, n, p, floor):
+    """The path ends at lambda_max * 1e-2 when the 80% training split has
+    fewer rows than x has columns (n=48 and n=11 leave 39 and 9), and at
+    lambda_max * 1e-3 otherwise (64 rows for 50 columns, 10 for 10)."""
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-1, 1, (n, p))
+    y = x[:, :3] @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=n)
+    lams = []
+
+    def recording_fit(x, y, lam, **kwargs):
+        lams.append(lam)
+        return lasso_fit(x, y, lam, **kwargs)
+
+    monkeypatch.setattr(linmod, "lasso_fit", recording_fit)
+    select_lambda(x, y, grid_size=8)
+    assert len(lams) == 8
+    assert lams[-1] == pytest.approx(lams[0] * floor, rel=1e-12)
 
 
 def test_select_lambda_logistic_runs():
