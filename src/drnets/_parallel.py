@@ -8,7 +8,6 @@ variable DRNETS_THREADS caps the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError
@@ -34,5 +33,7 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: it loads multiprocessing, which serial runs never need.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from statistics import NormalDist
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .errors import (
     ConfigurationError,
@@ -31,7 +31,7 @@ from .errors import (
     StratumError,
 )
 from .linmod import lasso_fit, logistic_lasso_fit, select_lambda
-from .nnet import MLPConfig, MLPModel, mlp_fit, mlp_predict
+from .nnet import MLPConfig, MLPModel, _expit, mlp_fit, mlp_predict
 from .scores import (
     CateData,
     CateNuisance,
@@ -144,7 +144,7 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
             loss = "logistic" if kind == "propensity" else "square"
             model = mlp_fit(x, y, replace(cfg, loss=loss, seed=_derive_seed(seed, cfg.seed)), w)
             if kind == "propensity":
-                return lambda s, _m=model: expit(mlp_predict(_m, s))
+                return lambda s, _m=model: _expit(mlp_predict(_m, s))
             return lambda s, _m=model: mlp_predict(_m, s)
         if isinstance(cfg, LassoSpec):
             link = "logistic" if kind == "propensity" else "identity"
@@ -170,8 +170,10 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
 
 
 def normal_quantile(q: float) -> float:
-    """Standard normal quantile (inverse CDF)."""
-    return float(ndtri(q))
+    """Standard normal quantile (inverse CDF) at q in (0, 1)."""
+    if not 0.0 < q < 1.0:
+        raise ConfigurationError(f"normal quantile needs q in (0, 1), got {q!r}")
+    return NormalDist().inv_cdf(q)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -36,7 +35,7 @@ from .errors import (
     InputError,
     SeparationError,
 )
-from .nnet import _check_weights, _check_xy
+from .nnet import _check_weights, _check_xy, _expit
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -63,7 +62,7 @@ class LinearModel:
         eta = self.linear_predictor(x)
         if self.link == "identity":
             return eta
-        return np.clip(expit(eta), _PROB_CLIP, 1.0 - _PROB_CLIP)
+        return np.clip(_expit(eta), _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 def _check_inputs(x, y, lam, sample_weight):
@@ -71,10 +70,7 @@ def _check_inputs(x, y, lam, sample_weight):
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
     w = _check_weights(sample_weight, x.shape[0])
-    total = np.add.reduce(w)
-    if total <= 0:
-        raise EmptySubgroupError("all sample weights are zero")
-    return x, y, w / total
+    return x, y, w / np.add.reduce(w)
 
 
 def _kkt_residual(grad, beta, lam):
@@ -239,7 +235,7 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
     trace = [obj]
     move = np.inf
     for _ in range(_MAX_NEWTON):
-        prob = expit(eta)
+        prob = _expit(eta)
         g = w * (prob - y)
         if (move < 1e-6 and abs(float(np.add.reduce(g))) <= 0.1 * _KKT_TOL
                 and _kkt_residual(x.T @ g, beta, lam) <= 0.1 * _KKT_TOL):
@@ -263,7 +259,7 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
         move = max(abs(cand_b0 - b0), float(np.abs(cand_beta - beta).max(initial=0.0)))
         b0, beta, eta, obj = cand_b0, cand_beta, cand_eta, cand_obj
         trace.append(obj)
-    g = w * (expit(eta) - y)
+    g = w * (_expit(eta) - y)
     if not abs(float(np.add.reduce(g))) <= _KKT_TOL:
         raise ConvergenceError("logistic lasso intercept failed stationarity")
     _kkt_check(x.T @ g, beta, lam, "logistic lasso")

@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -145,6 +144,11 @@ def _check_xy(x, y, input_dim: int | None = None) -> tuple[np.ndarray, np.ndarra
     return x, y
 
 
+def _expit(x):
+    """Logistic 1/(1 + exp(-x)), exp's argument capped at 709 so it cannot overflow."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, 709.0)))
+
+
 def _forward(weights, biases, x):
     """Return (activations, raw_output); activations[0] is x itself."""
     acts = [x]
@@ -190,7 +194,7 @@ def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b):
         dldf = f - y
         dldf *= 2.0
     else:
-        dldf = expit(f)
+        dldf = _expit(f)
         dldf -= y
     # Clamp subgradient: pass-through strictly inside, zero at the boundary.
     if bound is not None:
@@ -229,8 +233,6 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     n = x.shape[0]
     w = _check_weights(sample_weight, n)
     w_sum = w.sum()
-    if w_sum <= 0:
-        raise EmptySubgroupError("all sample weights are zero")
     grad_w, grad_b = _views(np.empty(model.n_parameters), model)
     params = (model.config.loss, model.config.clamp_bound, model.weights, model.biases)
     _loss_grad(*params, x, y, w, w_sum, grad_w, grad_b)
@@ -238,14 +240,15 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
 
 
 def _check_weights(sample_weight, n) -> np.ndarray:
-    """Sample weights as a float array (ones when None); also used by linmod."""
-    if sample_weight is None:
-        return np.ones(n)
-    w = np.asarray(sample_weight, dtype=np.float64)
+    """Sample weights as a float array (ones when None), checked to be finite,
+    non-negative and not all zero; also used by linmod."""
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (n,):
         raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
     if not np.isfinite(w).all() or (w < 0).any():
         raise InputError("sample weights must be finite and non-negative")
+    if not (w > 0).any():
+        raise EmptySubgroupError("all sample weights are zero")
     return w
 
 
@@ -267,8 +270,6 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     x, y = _check_xy(x, y)
     w = _check_weights(sample_weight, x.shape[0])
     keep = w > 0
-    if not np.any(keep):
-        raise EmptySubgroupError("all sample weights are zero")
     x, y, w = x[keep], y[keep], w[keep]
     if config.loss == "logistic" and not np.all((y == 0) | (y == 1)):
         raise InputError("logistic loss requires 0/1 targets")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from ._parallel import parallel_map
 from .errors import ConfigurationError
@@ -30,6 +29,7 @@ from .estimators import (
     estimate_cate,
     estimate_dte,
 )
+from .nnet import _expit
 from .scores import CateData, CateNuisance, DteData, delta_decomposition
 
 CATE_KINDS = ("cate_linear", "cate_sparse_smooth", "cate_rough_outcome")
@@ -180,7 +180,7 @@ def _draw_sawtooth_sum(rng, d, amplitude_range):
 
 
 def _propensity(index_fn):
-    return lambda s, _f=index_fn: np.clip(expit(_f(s)), 0.1, 0.9)
+    return lambda s, _f=index_fn: np.clip(_expit(_f(s)), 0.1, 0.9)
 
 
 # -------------------------------------------------------------- CATE kinds
@@ -428,7 +428,7 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 
     def pi_hat(s):
         p = truth.pi0(s)
-        return expit(np.log(p / (1.0 - p)) + c * bump_pi(s))
+        return _expit(np.log(p / (1.0 - p)) + c * bump_pi(s))
 
     nuis_true = CateNuisance(pi=truth.pi0, mu1=truth.mu1, mu0=truth.mu0)
     if c == 0.0:

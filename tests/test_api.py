@@ -4,6 +4,11 @@ The benchmark tracer counts calls by name, so ``dte_score``, ``cde_score``,
 ``dte_stage2_pseudo_outcome`` and ``estimate_mu_dr`` must stay public.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import drnets
 
 PUBLIC_NAMES = [
@@ -41,3 +46,15 @@ def test_names_the_benchmark_tracer_counts_are_public():
                          (estimators, "estimate_mu_dr")]:
         assert name in drnets.__all__
         assert getattr(module, name) is getattr(drnets, name)
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    """A fresh ``import drnets, drnets.cli`` loads no scipy module, and the
+    process pool waits until a study runs on more than one worker."""
+    code = ("import sys, drnets, drnets.cli; print('\\n'.join(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+    src = str(Path(drnets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == []

@@ -156,6 +156,12 @@ def test_normal_quantile_reference_values():
     assert abs(normal_quantile(0.3) + normal_quantile(0.7)) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, 1.5, float("nan")])
+def test_normal_quantile_outside_unit_interval_is_named_error(q):
+    with pytest.raises(ConfigurationError, match=rf"q in \(0, 1\), got {q!r}"):
+        normal_quantile(q)
+
+
 def test_constant_learner_cross_fit_matches_manual_replay():
     """Replays the ATE pipeline by hand: fold constants come only from the
     training complement, scores only from the held-out fold."""

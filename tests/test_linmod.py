@@ -205,6 +205,8 @@ def test_all_zero_weights_and_bad_inputs():
     y = np.zeros(4)
     with pytest.raises(EmptySubgroupError):
         lasso_fit(x, y, 0.1, sample_weight=np.zeros(4))
+    with pytest.raises(EmptySubgroupError):
+        logistic_lasso_fit(x, y, 0.1, sample_weight=np.zeros(4))
     with pytest.raises(InputError):
         lasso_fit(x, y, 0.1, sample_weight=-np.ones(4))
     with pytest.raises(InputError):

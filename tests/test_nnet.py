@@ -6,13 +6,14 @@ the implementation under test.
 """
 
 import dataclasses
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import expit
 
 from drnets.errors import (
     ConfigurationError,
@@ -23,6 +24,7 @@ from drnets.errors import (
 from drnets.nnet import (
     MLPConfig,
     MLPModel,
+    _expit,
     mlp_fit,
     mlp_init,
     mlp_loss_grad,
@@ -394,6 +396,8 @@ def test_all_zero_weights_raises():
     x, y = _toy_problem(n=10)
     with pytest.raises(EmptySubgroupError):
         mlp_fit(x, y, MLPConfig(), sample_weight=np.zeros(10))
+    with pytest.raises(EmptySubgroupError):
+        mlp_loss_grad(mlp_init(MLPConfig(), 3), x, y, np.zeros(10))
 
 
 def test_divergence_names_epoch():
@@ -412,7 +416,7 @@ def test_logistic_balanced_labels_zero_input():
     m = mlp_fit(x, y, cfg)
     logit = mlp_predict(m, np.zeros((1, 2)))[0]
     assert abs(logit) <= 1e-2
-    assert abs(expit(logit) - 0.5) <= 1e-2
+    assert abs(1.0 / (1.0 + np.exp(-logit)) - 0.5) <= 1e-2
 
 
 def test_validation_checkpoint_matches_truncated_run():
@@ -449,3 +453,67 @@ def test_logistic_targets_validated():
     x, _ = _toy_problem(n=20)
     with pytest.raises(InputError):
         mlp_fit(x, np.full(20, 0.5), MLPConfig(loss="logistic"))
+
+
+# --------------------------------------------------------- logistic helper
+
+
+def exact_expit(x):
+    """1/(1 + exp(-x)) to 40 digits; decimal's exp only sees arguments <= 0,
+    so the reference neither overflows nor warns."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(x)
+        if d < 0:
+            e = d.exp()
+            return e / (1 + e)
+        return 1 / (1 + (-d).exp())
+
+
+@settings(max_examples=300)
+@given(x=st.floats(-700.0, 700.0))
+@example(x=-700.0)
+@example(x=700.0)
+def test_expit_matches_scipy_property(x):
+    """scipy's expit, a test-only reference, agrees within 5e-16 relative."""
+    special = pytest.importorskip("scipy.special")
+    ref = special.expit(x)
+    assert abs(_expit(np.array([x]))[0] - ref) <= 5e-16 * ref
+
+
+@settings(max_examples=500)
+@given(x=st.floats(allow_nan=False))
+@example(x=-1e308)
+@example(x=-np.inf)
+@example(x=np.inf)
+@example(x=-709.0)
+@example(x=-745.2)
+@example(x=5e-324)
+def test_expit_error_bound_on_every_float_property(x):
+    """Within 5e-16 relative of the exact value, or 1.3e-308 absolute where the
+    value underflows: below x = -709 the capped exp gives 1/(1 + e**709)."""
+    ref = exact_expit(x)
+    err = abs(Decimal(float(_expit(np.array([x]))[0])) - ref)
+    assert err <= max(Decimal("5e-16") * ref, Decimal("1.3e-308"))
+
+
+@given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+def test_expit_bounded_and_monotone_property(xs):
+    out = _expit(np.sort(np.array(xs)))
+    assert ((out >= 0.0) & (out <= 1.0)).all()
+    assert (np.diff(out) >= 0.0).all()
+
+
+@given(x=st.floats(min_value=37.0))
+@example(x=37.0)
+def test_expit_is_exactly_one_from_37_property(x):
+    assert _expit(np.array([x]))[0] == 1.0
+
+
+def test_expit_extremes_raise_no_warning():
+    x = np.array([-1e308, -np.finfo(np.float64).max, -np.inf, -710.0, 710.0, 1e308, np.inf])
+    with warnings.catch_warnings(), np.errstate(over="warn", divide="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        out = _expit(x)
+    assert (out[:4] <= 1.3e-308).all()
+    assert (out[4:] == 1.0).all()
