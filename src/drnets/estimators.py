@@ -3,9 +3,10 @@
 Nuisances are fit per training set with role-specific learners (network,
 L1-penalized linear model, fitted constant, or an injected fixed function)
 and always through weighted losses: stratum restrictions enter as indicator
-sample weights, never by silently dropping rows.  Final-stage regressions
-(treatment effects, stage-one outcome regressions) are always networks fit
-on two swapped halves whose predictions are averaged.
+sample weights, and each fit drops its zero-weight rows itself
+(``nnet._fit_rows``).  Final-stage regressions (treatment effects, stage-one
+outcome regressions) are always networks fit on two swapped halves whose
+predictions are averaged.
 
 There is one two-stage pipeline, ``estimate_dte``.  The controlled direct
 effect runs through it on relabelled data: 1{T=t} takes the place of t1 and
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    EmptySubgroupError,
     EstimationError,
     FoldError,
     InputError,
@@ -31,7 +31,7 @@ from .errors import (
     StratumError,
 )
 from .linmod import lasso_fit, logistic_lasso_fit, select_lambda
-from .nnet import MLPConfig, MLPModel, _expit, mlp_fit, mlp_predict
+from .nnet import MLPConfig, MLPModel, _check_weights, _expit, mlp_fit, mlp_predict
 from .scores import (
     CateData,
     CateNuisance,
@@ -135,10 +135,8 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
             if cfg.value is not None:
                 level = float(cfg.value)
             else:
-                total = w.sum()
-                if total <= 0:
-                    raise EmptySubgroupError("all sample weights are zero")
-                level = float(np.dot(w, y) / total)
+                w = _check_weights(w, y.shape[0])
+                level = float(np.dot(w, y) / w.sum())
             return lambda s, _v=level: np.full(s.shape[0], _v)
         if isinstance(cfg, MLPConfig):
             loss = "logistic" if kind == "propensity" else "square"
@@ -148,19 +146,15 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
             return lambda s, _m=model: mlp_predict(_m, s)
         if isinstance(cfg, LassoSpec):
             link = "logistic" if kind == "propensity" else "identity"
-            # Zero-weight rows are inert under weighted losses; dropping them up
-            # front keeps the selection holdout inside the stratum.
-            keep = np.flatnonzero(w > 0)
-            xs, ys, ws = x[keep], y[keep], w[keep]
             lam = cfg.lam
             if lam is None:
                 try:
-                    lam = select_lambda(xs, ys, link, grid_size=cfg.grid_size,
-                                        seed=_derive_seed(seed, 1), sample_weight=ws)
+                    lam = select_lambda(x, y, link, grid_size=cfg.grid_size,
+                                        seed=_derive_seed(seed, 1), sample_weight=w)
                 except InputError as exc:  # the stratum is too small for the holdout split
                     raise StratumError(str(exc)) from exc
             fit = logistic_lasso_fit if link == "logistic" else lasso_fit
-            return fit(xs, ys, lam, sample_weight=ws).predict
+            return fit(x, y, lam, sample_weight=w).predict
     except EstimationError as exc:
         raise type(exc)(f"{role}: {exc}") from exc
     raise ConfigurationError(f"unknown learner config {cfg!r}")
@@ -191,12 +185,10 @@ class EstimateReport:
     learner_configs: dict = field(default_factory=dict)
 
 
-def _check_settings(n_folds, alpha, propensity_clip):
-    """Reject bad run settings before any nuisance is fit."""
+def _check_settings(alpha, propensity_clip):
+    """Reject bad run settings before any nuisance is fit; make_folds checks K."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):
-        raise ConfigurationError(f"n_folds must be an integer >= 2, got {n_folds!r}")
     _check_clip(propensity_clip)
 
 
@@ -284,9 +276,9 @@ def estimate_ate(
     propensity_clip: float = 0.01,
 ) -> EstimateReport:
     """Cross-fitted mean of the bias-corrected outcome contrast."""
-    _check_settings(n_folds, alpha, propensity_clip)
-    mu_cfg = _require(learners.mu, "mu")
+    _check_settings(alpha, propensity_clip)
     plan = make_folds(data.n, n_folds, seed)
+    mu_cfg = _require(learners.mu, "mu")
     scores_by_fold = []
     for k in range(n_folds):
         train = data.subset(plan.complement_indices(k))
@@ -343,6 +335,7 @@ def estimate_cate(
     two effect networks are averaged.  If a half lacks a treatment arm the
     split is redrawn once with seed+1 before failing.
     """
+    _check_clip(propensity_clip)
     mu_cfg = _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
         idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
@@ -403,6 +396,7 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
+    _check_clip(propensity_clip)
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
     idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
@@ -448,10 +442,10 @@ def estimate_dte(
     stage-two corrected outcomes with weights t1 (no nested split), so a
     FixedSpec injects its known function.
     """
-    _check_settings(n_folds, alpha, propensity_clip)
+    _check_settings(alpha, propensity_clip)
+    plan = make_folds(data.n, n_folds, seed)
     rho_cfg = _require(learners.rho, "rho")
     nu_cfg = _require(learners.nu, "nu")
-    plan = make_folds(data.n, n_folds, seed)
     scores_by_fold = []
     for k in range(n_folds):
         train = data.subset(plan.complement_indices(k))

@@ -19,6 +19,10 @@ proximal Newton: each outer step minimizes the iteratively reweighted
 quadratic model with that same coordinate descent, finish included, then
 backtracks on the true objective.  Every returned solution passes a
 subgradient stationarity check at tolerance 1e-6.
+
+Every fit and select_lambda take their rows through ``nnet._fit_rows``:
+zero-weight rows are dropped on entry with row order kept, so they change no
+bit of any result, and logistic 0/1 labels are checked on the rows left.
 """
 
 from __future__ import annotations
@@ -28,14 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    EmptySubgroupError,
-    InputError,
-    SeparationError,
-)
-from .nnet import _check_weights, _check_xy, _expit
+from .errors import ConfigurationError, ConvergenceError, InputError, SeparationError
+from .nnet import _check_x, _expit, _fit_rows
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -54,8 +52,7 @@ class LinearModel:
     objective_trace: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def linear_predictor(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self.intercept + x @ self.coefficients
+        return self.intercept + _check_x(x, self.coefficients.size) @ self.coefficients
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Mean-scale prediction; logistic probabilities are clipped away from 0/1."""
@@ -65,11 +62,11 @@ class LinearModel:
         return np.clip(_expit(eta), _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
-def _check_inputs(x, y, lam, sample_weight):
-    x, y = _check_xy(x, y)
+def _check_inputs(x, y, lam, sample_weight, binary=False):
+    """The fit's rows (nnet._fit_rows) with weights normalized to sum 1."""
     if not (np.isfinite(lam) and lam >= 0):
         raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
-    w = _check_weights(sample_weight, x.shape[0])
+    x, y, w = _fit_rows(x, y, sample_weight, binary)
     return x, y, w / np.add.reduce(w)
 
 
@@ -220,11 +217,8 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
     ``_warm`` = (intercept, coefficients) is the starting point; the trace
     starts with its objective and gains one value per outer step.
     """
-    x, y, w = _check_inputs(x, y, lam, sample_weight)
-    if not ((y == 0) | (y == 1)).all():
-        raise InputError("logistic fit requires 0/1 labels")
-    weighted = y[w > 0]  # never empty: _check_inputs saw a positive total weight
-    if weighted.min() == weighted.max():
+    x, y, w = _check_inputs(x, y, lam, sample_weight, binary=True)
+    if y.min() == y.max():
         raise SeparationError("logistic fit needs both classes among weighted rows")
     if _warm is not None:
         b0, beta = float(_warm[0]), np.array(_warm[1], dtype=np.float64)
@@ -293,13 +287,16 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
     down to lambda_max * 1e-3, or to lambda_max * 1e-2 when the training
     split has fewer rows than x has columns (glmnet's lambda.min.ratio):
     there the small penalties fit noise and their Gram blocks are singular.
-    Fits along the path are warm-started.
+    Fits along the path are warm-started.  Rows enter through
+    nnet._fit_rows: zero-weight rows are dropped with row order kept and
+    logistic 0/1 labels are checked on the rest, so the holdout is drawn over
+    the positive-weight rows, of which at least 5 are needed.
     """
     if link not in _LINKS:
         raise ConfigurationError(f"link must be one of {_LINKS}, got {link!r}")
     if grid_size < 2:
         raise ConfigurationError(f"grid_size must be >= 2, got {grid_size}")
-    x, y, w = _check_inputs(x, y, 0.0, sample_weight)
+    x, y, w = _check_inputs(x, y, 0.0, sample_weight, binary=link == "logistic")
     n = x.shape[0]
     if n < 5:
         raise InputError(f"need at least 5 rows to split 80/20, got {n}")
@@ -307,8 +304,6 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
     perm = rng.permutation(n)
     n_hold = max(1, int(np.floor(0.2 * n)))
     hold, train = perm[:n_hold], perm[n_hold:]
-    if w[train].sum() <= 0 or w[hold].sum() <= 0:
-        raise EmptySubgroupError("holdout split left a side with zero total weight")
 
     lam_hi = max(_lambda_max(x, y, w, link), 1e-12)
     floor = 1e-2 if train.size < x.shape[1] else 1e-3

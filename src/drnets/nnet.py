@@ -11,6 +11,10 @@ with ``loss`` either the square loss ``(f - y)**2`` or the logistic loss
 ``-y*f + log(1 + exp(f))`` (``f`` is then a logit and ``y`` a 0/1 label).
 The clamp participates in training: its subgradient is 1 strictly inside the
 interval and 0 at or beyond the boundary.
+
+Every fit, here and in ``linmod``, takes its rows through ``_fit_rows``:
+zero-weight rows are dropped on entry with row order kept, so they change
+nothing whatever their values, and 0/1 labels are checked on the rows left.
 """
 
 from __future__ import annotations
@@ -121,27 +125,28 @@ def mlp_init(config: MLPConfig, input_dim: int) -> MLPModel:
     return MLPModel(config, input_dim, _frozen(weights), _frozen(biases))
 
 
-def _check_x(x: np.ndarray, input_dim: int | None = None) -> np.ndarray:
+def _check_x(x: np.ndarray, input_dim: int | None = None, name: str = "x") -> np.ndarray:
+    """x as a finite 2-D float array, with ``input_dim`` columns if given."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise InputError(f"x must be 2-D (n, p), got shape {x.shape}")
+        raise InputError(f"{name} must be 2-D (n, p), got shape {x.shape}")
     if input_dim is not None and x.shape[1] != input_dim:
-        raise InputError(f"x has {x.shape[1]} columns, model expects {input_dim}")
+        raise InputError(f"{name} has {x.shape[1]} columns, model expects {input_dim}")
     if not np.isfinite(x).all():
-        raise InputError("x contains non-finite values")
+        raise InputError(f"{name} contains non-finite values")
     return x
 
 
-def _check_xy(x, y, input_dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """x as a finite 2-D array (with ``input_dim`` columns, if given) and y as
-    a finite vector with one entry per row of x; also used by linmod."""
-    x = _check_x(x, input_dim)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise InputError(f"y must have shape ({x.shape[0]},), got {y.shape}")
-    if not np.isfinite(y).all():
-        raise InputError("y contains non-finite values")
-    return x, y
+def _check_vector(a, n: int, name: str, binary: bool = False) -> np.ndarray:
+    """a as a finite float vector of length n, coded 0/1 if ``binary``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (n,):
+        raise InputError(f"{name} must have shape ({n},), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError(f"{name} contains non-finite values")
+    if binary and not ((a == 0) | (a == 1)).all():
+        raise InputError(f"{name} must be coded 0/1")
+    return a
 
 
 def _expit(x):
@@ -229,9 +234,9 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     Returns ``(loss, grad_weights, grad_biases)`` with gradient entries shaped
     like ``model.weights`` / ``model.biases``.
     """
-    x, y = _check_xy(x, y, model.input_dim)
-    n = x.shape[0]
-    w = _check_weights(sample_weight, n)
+    x = _check_x(x, model.input_dim)
+    y = _check_vector(y, x.shape[0], "y")
+    w = _check_weights(sample_weight, x.shape[0])
     w_sum = w.sum()
     grad_w, grad_b = _views(np.empty(model.n_parameters), model)
     params = (model.config.loss, model.config.clamp_bound, model.weights, model.biases)
@@ -241,7 +246,7 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
 
 def _check_weights(sample_weight, n) -> np.ndarray:
     """Sample weights as a float array (ones when None), checked to be finite,
-    non-negative and not all zero; also used by linmod."""
+    non-negative and not all zero."""
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     if w.shape != (n,):
         raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
@@ -252,12 +257,28 @@ def _check_weights(sample_weight, n) -> np.ndarray:
     return w
 
 
+def _fit_rows(x, y, sample_weight, binary: bool = False):
+    """Checked x, y and weights with the zero-weight rows dropped, row order
+    kept (no copy when every weight is positive); if ``binary``, the labels
+    left are checked to be 0/1.  The one row contract of mlp_fit and, through
+    linmod._check_inputs, of every linmod fit and select_lambda."""
+    x = _check_x(x)
+    y = _check_vector(y, x.shape[0], "y")
+    w = _check_weights(sample_weight, x.shape[0])
+    if not w.all():
+        keep = np.flatnonzero(w)
+        x, y, w = x[keep], y[keep], w[keep]
+    if binary:
+        _check_vector(y, y.size, "y", binary=True)
+    return x, y, w
+
+
 def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None) -> MLPModel:
     """Fit by mini-batch gradient descent with a fixed step size.
 
-    Zero-weight rows are discarded up front, so they cannot affect batch
-    composition.  After each epoch the full training loss is recorded (a
-    non-finite value raises DivergenceError naming the epoch) and, when a
+    Zero-weight rows are discarded up front (_fit_rows), so they cannot affect
+    batch composition.  After each epoch the full training loss is recorded
+    (a non-finite value raises DivergenceError naming the epoch) and, when a
     validation fraction is held out, the parameters with the best validation
     loss are returned (ties resolve to the earliest epoch).
 
@@ -267,12 +288,7 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     gathers the training rows once in permutation order; its batches are then
     contiguous slices.
     """
-    x, y = _check_xy(x, y)
-    w = _check_weights(sample_weight, x.shape[0])
-    keep = w > 0
-    x, y, w = x[keep], y[keep], w[keep]
-    if config.loss == "logistic" and not np.all((y == 0) | (y == 1)):
-        raise InputError("logistic loss requires 0/1 targets")
+    x, y, w = _fit_rows(x, y, sample_weight, binary=config.loss == "logistic")
 
     if config.clamp_bound is None:
         bound = max(2.0 * 1.1 * float(np.max(np.abs(y))), 1.0)

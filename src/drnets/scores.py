@@ -17,27 +17,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
+from .nnet import _check_vector, _check_x
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _column(a, n, name, binary=False) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (n,):
-        raise InputError(f"{name} must have shape ({n},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite values")
-    if binary and not np.all((a == 0) | (a == 1)):
-        raise InputError(f"{name} must be coded 0/1")
-    return a
-
-
 def _covariates(s, name) -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[1] < 1:
-        raise InputError(f"{name} must be 2-D (n, d), got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InputError(f"{name} contains non-finite values")
+    s = _check_x(s, name=name)
+    if s.shape[1] < 1:
+        raise InputError(f"{name} must have at least one column, got shape {s.shape}")
     if np.any(np.abs(s) > 1.0 + 1e-9):
         raise InputError(f"{name} has entries outside the covariate support [-1, 1]")
     return s
@@ -55,8 +43,8 @@ class CateData:
         s = _covariates(self.s, "s")
         n = s.shape[0]
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", _column(self.t, n, "t", binary=True))
-        object.__setattr__(self, "y", _column(self.y, n, "y"))
+        object.__setattr__(self, "t", _check_vector(self.t, n, "t", binary=True))
+        object.__setattr__(self, "y", _check_vector(self.y, n, "y"))
 
     @property
     def n(self) -> int:
@@ -81,14 +69,14 @@ class DteData:
         s1 = _covariates(self.s1, "s1")
         n = s1.shape[0]
         object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "t1", _column(self.t1, n, "t1", binary=True))
+        object.__setattr__(self, "t1", _check_vector(self.t1, n, "t1", binary=True))
         object.__setattr__(self, "s2", _covariates(self.s2, "s2"))
         if self.s2.shape[0] != n:
             raise InputError("s1 and s2 must have the same number of rows")
-        object.__setattr__(self, "t2", _column(self.t2, n, "t2", binary=True))
-        object.__setattr__(self, "y", _column(self.y, n, "y"))
+        object.__setattr__(self, "t2", _check_vector(self.t2, n, "t2", binary=True))
+        object.__setattr__(self, "y", _check_vector(self.y, n, "y"))
         if self.m is not None:
-            m = _column(self.m, n, "m")
+            m = _check_vector(self.m, n, "m")
             if not np.all(m == np.round(m)):
                 raise InputError("m must hold integer mediator levels")
             object.__setattr__(self, "m", m)
@@ -178,8 +166,8 @@ class FoldPlan:
 
 def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle followed by round-robin assignment."""
-    if n_folds < 2:
-        raise ConfigurationError(f"n_folds must be >= 2, got {n_folds}")
+    if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):  # bools are ints below 2
+        raise ConfigurationError(f"n_folds must be an integer >= 2, got {n_folds!r}")
     if n_total < n_folds:
         raise ConfigurationError(f"need at least n_folds={n_folds} rows, got {n_total}")
     perm = np.random.default_rng(seed).permutation(n_total)

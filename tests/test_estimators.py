@@ -256,6 +256,35 @@ def test_alpha_must_lie_in_unit_interval():
         estimate_ate(data, learners, n_folds=3, alpha=1.5, seed=0)
 
 
+@pytest.mark.parametrize("k", [2.5, np.float64(3.0), True, 1])
+def test_fold_count_must_be_an_integer_of_at_least_two(k):
+    """make_folds owns the rule, so every estimator rejects a bad K through it."""
+    rng = np.random.default_rng(15)
+    n = 30
+    data = CateData(rng.uniform(-1, 1, (n, 2)), mixed_binary(rng, n, 0.5),
+                    rng.standard_normal(n))
+    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=ConstantSpec())
+    with pytest.raises(ConfigurationError, match="n_folds must be an integer >= 2"):
+        make_folds(n, k, 0)
+    with pytest.raises(ConfigurationError, match="n_folds must be an integer >= 2"):
+        estimate_ate(data, learners, n_folds=k, seed=0)
+
+
+def test_half_split_estimators_check_the_clip_before_any_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance was fit before propensity_clip was checked")
+
+    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
+    d, _ = gen_dte(DgpConfig(kind="dte_linear"), 80, 2)
+    cate = CateData(d.s1, d.t1, d.y)
+    lasso = LassoSpec(grid_size=4)
+    with pytest.raises(ConfigurationError, match="propensity_clip"):
+        estimate_cate(cate, LearnerSpec(pi=lasso, mu=lasso), SMALL_FINAL, propensity_clip=0.7)
+    with pytest.raises(ConfigurationError, match="propensity_clip"):
+        estimate_mu_dr(d, LearnerSpec(pi=lasso, rho=lasso, nu=lasso), SMALL_FINAL,
+                       propensity_clip=0.0)
+
+
 def test_mu_dr_stratum_errors():
     rng = np.random.default_rng(16)
     n = 40

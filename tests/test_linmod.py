@@ -25,6 +25,7 @@ from drnets.linmod import (
     logistic_lasso_fit,
     select_lambda,
 )
+from drnets.nnet import MLPConfig, mlp_fit
 
 
 def lasso_objective(x, y, w, b0, beta, lam):
@@ -313,7 +314,58 @@ def test_probability_clipping():
     assert probs[1] == 1e-6
 
 
+def test_predict_checks_x():
+    beta = np.array([1.0, -1.0, 0.5])
+    beta.flags.writeable = False
+    m = LinearModel(beta, 0.0, "identity", 0.0)
+    for x in (np.ones((2, 5)), np.array([[0.1, np.nan, 0.2]]), np.ones(3)):
+        with pytest.raises(InputError):
+            m.predict(x)
+
+
 # ------------------------------------------------------- both links
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_zero_weight_rows_change_nothing_property(seed, data):
+    """Every fit's rows pass through nnet._fit_rows, so zero-weight rows with
+    arbitrary finite x and y (labels not 0/1 included) leave each fit's
+    coefficients, intercept and trace, and the selected penalty, bit for bit
+    as they were."""
+    rng = np.random.default_rng(seed)
+    n, p = 40, 3
+    x = rng.uniform(-1, 1, (n, p))
+    y = x @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=n)
+    labels = (rng.random(n) < expit(2.0 * x[:, 0])).astype(float)
+    labels[:2] = 0.0, 1.0
+    w = rng.uniform(0.1, 2.0, n)
+    k = data.draw(st.integers(1, 12), label="zero rows")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    at = data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k), label="positions")
+    junk_x = np.array(data.draw(st.lists(finite, min_size=k * p, max_size=k * p))).reshape(k, p)
+    junk_y = np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
+    junk_labels = np.where(np.isin(junk_y, (0.0, 1.0)), 0.5, junk_y)
+    # np.insert puts the junk rows before the positions ``at`` and keeps the rest in order.
+    xz, yz, lz, wz = (np.insert(a, at, b, axis=0) for a, b in
+                      ((x, junk_x), (y, junk_y), (labels, junk_labels), (w, np.zeros(k))))
+
+    for fit, target, padded in ((lasso_fit, y, yz), (logistic_lasso_fit, labels, lz)):
+        a = fit(x, target, 0.02, sample_weight=w)
+        b = fit(xz, padded, 0.02, sample_weight=wz)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.intercept == b.intercept
+        assert a.objective_trace == b.objective_trace
+    for link, target, padded in (("identity", y, yz), ("logistic", labels, lz)):
+        assert (select_lambda(x, target, link, grid_size=4, seed=seed, sample_weight=w)
+                == select_lambda(xz, padded, link, grid_size=4, seed=seed, sample_weight=wz))
+    for loss, target, padded in (("square", y, yz), ("logistic", labels, lz)):
+        cfg = MLPConfig(depth=1, width=4, loss=loss, epochs=3, batch_size=8, seed=seed)
+        a = mlp_fit(x, target, cfg, sample_weight=w)
+        b = mlp_fit(xz, padded, cfg, sample_weight=wz)
+        assert all(np.array_equal(u, v) for u, v in zip(a.weights + a.biases,
+                                                        b.weights + b.biases))
+        assert (a.training_loss, a.validation_loss) == (b.training_loss, b.validation_loss)
 
 
 @settings(max_examples=25)
@@ -559,6 +611,16 @@ def test_select_lambda_grid_floor_follows_training_rows(monkeypatch, n, p, floor
     select_lambda(x, y, grid_size=8)
     assert len(lams) == 8
     assert lams[-1] == pytest.approx(lams[0] * floor, rel=1e-12)
+
+
+def test_select_lambda_counts_positive_weight_rows():
+    """The 80/20 holdout is drawn over the positive-weight rows alone."""
+    rng = np.random.default_rng(42)
+    x = rng.uniform(-1, 1, (50, 2))
+    w = np.zeros(50)
+    w[[3, 20, 41]] = 1.0
+    with pytest.raises(InputError, match=r"need at least 5 rows .*got 3"):
+        select_lambda(x, rng.normal(size=50), sample_weight=w)
 
 
 def test_select_lambda_logistic_runs():

@@ -1,0 +1,132 @@
+"""Write a fixed set of drnets outputs to a directory, for byte-identity checks.
+
+A refactor that must not change any number is checked by running this script
+on two source trees and comparing the directories:
+
+    PYTHONPATH=/path/to/old/src python3 tools/output_digest.py /tmp/old
+    PYTHONPATH=src python3 tools/output_digest.py /tmp/new
+    diff -r /tmp/old /tmp/new
+
+drnets is imported from PYTHONPATH, so the script runs unchanged against any
+checkout.  BLAS runs on one thread and DRNETS_THREADS=1, so the outputs do
+not depend on the machine's CPU count.  Every output file and the exit code
+(and stderr) of every run are written; an empty ``diff -r`` is the check.
+
+CLI runs: ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6
+and p=26, and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
+with the nested MLP stage-one regression, ``estimate_ate`` with a
+ConstantSpec mu, and a 100-replication lasso ``coverage_study`` at n=400.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ["DRNETS_THREADS"] = "1"
+# The CLI runs start in OUTDIR, so a relative PYTHONPATH entry must be made absolute.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
+
+import json  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import traceback  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+N = 400
+# (estimand, dgp kind, p, dgp_fields giving that p)
+CLI_CASES = [
+    ("ate", "cate_linear", 6, {"d": 6}),
+    ("ate", "cate_linear", 26, {"d": 26}),
+    ("cate", "cate_sparse_smooth", 6, {"d": 6}),
+    ("cate", "cate_sparse_smooth", 26, {"d": 26}),
+    ("cde", "cde_binary", 6, {"d1": 4, "d2": 2}),
+    ("cde", "cde_binary", 26, {"d1": 20, "d2": 6}),
+    ("dte", "dte_linear", 6, {"d1": 4, "d2": 2}),
+    ("dte", "dte_linear", 26, {"d1": 20, "d2": 6}),
+]
+
+
+def _cli(out: Path, name: str, *args: str) -> None:
+    """Run the drnets CLI in a fresh interpreter; record its exit code and stderr."""
+    proc = subprocess.run([sys.executable, "-m", "drnets.cli", *args],
+                          capture_output=True, text=True, cwd=out)
+    (out / f"{name}.exit").write_text(f"{proc.returncode}\n{proc.stderr}")
+
+
+def _api(out: Path, name: str, fn) -> None:
+    """Write fn()'s JSON document, or the error it raised, and an exit code."""
+    try:
+        text = json.dumps(fn(), sort_keys=True, indent=2) + "\n"
+        code = "0\n"
+    except Exception:
+        text, code = "", "1\n" + traceback.format_exc(limit=0)
+    (out / f"{name}.json").write_text(text)
+    (out / f"{name}.exit").write_text(code)
+
+
+def cli_runs(out: Path) -> None:
+    for estimand, kind, p, fields in CLI_CASES:
+        stem = f"{estimand}_p{p}"
+        (out / f"{stem}_dgp.json").write_text(json.dumps({"dgp_fields": fields}))
+        _cli(out, f"{stem}_simulate", "simulate", "--dgp", kind, "--n", str(N), "--seed", "3",
+             "--config", f"{stem}_dgp.json", "--out", f"{stem}.csv")
+        _cli(out, f"{stem}_estimate", "estimate", "--estimand", estimand,
+             "--data", f"{stem}.csv", "--seed", "5", "--out", f"{stem}_report.json")
+    (out / "mlp.json").write_text(json.dumps({"learner_family": "mlp"}))
+    _cli(out, "dte_p6_mlp_estimate", "estimate", "--estimand", "dte", "--data", "dte_p6.csv",
+         "--seed", "5", "--config", "mlp.json", "--out", "dte_p6_mlp_report.json")
+
+
+def api_runs(out: Path) -> None:
+    from drnets import (
+        ConstantSpec,
+        DgpConfig,
+        LassoSpec,
+        LearnerSpec,
+        coverage_study,
+        default_final_config,
+        default_learner_spec,
+        estimate_ate,
+        estimate_dte,
+        gen_cate,
+        gen_dte,
+        report_to_dict,
+    )
+
+    def dte_nested_mlp():
+        data, _ = gen_dte(DgpConfig(kind="dte_linear", noise_sd=1.0), N, 11)
+        learners = replace(default_learner_spec("mlp", N, seed=11), mu=None)
+        return report_to_dict(estimate_dte(data, learners, default_final_config(N, seed=11),
+                                           seed=11))
+
+    def ate_constant_mu():
+        data, _ = gen_cate(DgpConfig(kind="cate_linear"), N, 12)
+        learners = LearnerSpec(pi=LassoSpec(), mu=ConstantSpec())
+        return report_to_dict(estimate_ate(data, learners, seed=12))
+
+    def coverage():
+        return coverage_study(DgpConfig(kind="dte_linear", noise_sd=1.0), "lasso",
+                              reps=100, n=N, seed=13)
+
+    _api(out, "api_dte_nested_mlp", dte_nested_mlp)
+    _api(out, "api_ate_constant_mu", ate_constant_mu)
+    _api(out, "api_coverage_lasso", coverage)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: output_digest.py OUTDIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    cli_runs(out)
+    api_runs(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
