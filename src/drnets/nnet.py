@@ -12,9 +12,15 @@ with ``loss`` either the square loss ``(f - y)**2`` or the logistic loss
 The clamp participates in training: its subgradient is 1 strictly inside the
 interval and 0 at or beyond the boundary.
 
-Every fit, here and in ``linmod``, takes its rows through ``_fit_rows``:
-zero-weight rows are dropped on entry with row order kept, so they change
-nothing whatever their values, and 0/1 labels are checked on the rows left.
+Every fit, here and in ``linmod``, and ``mlp_loss_grad`` take their rows
+through ``_fit_rows``: zero-weight rows are dropped on entry with row order
+kept, so they change nothing whatever their values, and 0/1 labels are
+checked on the rows left.
+
+The training step is written for few numpy calls per minibatch.  Its fast
+paths (no clamp when it binds nowhere in the batch, no weight product when
+every weight is 1) are exact identities: they give the same bits as the full
+computation.
 """
 
 from __future__ import annotations
@@ -158,13 +164,19 @@ def _forward(weights, biases, x):
     """Return (activations, raw_output); activations[0] is x itself."""
     acts = [x]
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = acts[-1] @ w.T
+        a = np.dot(acts[-1], w.T)
         a += b
         np.maximum(a, 0.0, out=a)
         acts.append(a)
-    raw = acts[-1] @ weights[-1][0]
+    raw = np.dot(acts[-1], weights[-1][0])
     raw += biases[-1][0]
     return acts, raw
+
+
+def _inside(raw, bound):
+    """True when every raw output lies strictly inside the clamp interval,
+    where the clamp and its subgradient are the identity; NaN gives False."""
+    return bound is None or np.maximum.reduce(np.abs(raw)) < bound
 
 
 def _clamp(raw, bound):
@@ -186,15 +198,20 @@ def _risk(loss, f, y, w, w_sum):
 
 
 def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
-    return _risk(loss, _clamp(_forward(weights, biases, x)[1], bound), y, w, w_sum)
+    raw = _forward(weights, biases, x)[1]
+    return _risk(loss, raw if _inside(raw, bound) else _clamp(raw, bound), y, w, w_sum)
 
 
-def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b):
+def _loss_grad(loss, bound, weights, biases, x, y, w, grad_w, grad_b):
     """Write the parameter gradient of the weight-normalized loss into grad_w
-    and grad_b (arrays shaped like weights and biases)."""
-    # The in-place forms below give the plain expressions' values bit for bit.
+    and grad_b (arrays shaped like weights and biases).  ``w=None`` stands
+    for unit weights."""
+    # The fast paths and in-place forms below give the plain expressions'
+    # values bit for bit: a clamp strictly inside its bound is the identity,
+    # and a unit weight multiplies exactly, summing to the row count.
     acts, raw = _forward(weights, biases, x)
-    f = _clamp(raw, bound)
+    inside = _inside(raw, bound)
+    f = raw if inside else _clamp(raw, bound)
     if loss == "square":
         dldf = f - y
         dldf *= 2.0
@@ -202,19 +219,23 @@ def _loss_grad(loss, bound, weights, biases, x, y, w, w_sum, grad_w, grad_b):
         dldf = _expit(f)
         dldf -= y
     # Clamp subgradient: pass-through strictly inside, zero at the boundary.
-    if bound is not None:
+    if not inside:
         dldf = np.where(np.abs(raw) < bound, dldf, 0.0)
-    g = w * dldf
-    g /= w_sum
-    np.matmul(g, acts[-1], out=grad_w[-1][0])
+    if w is None:
+        g = dldf
+        g /= x.shape[0]
+    else:
+        g = w * dldf
+        g /= np.add.reduce(w)
+    np.dot(g, acts[-1], out=grad_w[-1][0])
     grad_b[-1][0] = np.add.reduce(g)
-    d = np.multiply.outer(g, weights[-1][0])
+    d = g[:, None] * weights[-1][0]
     for layer in range(len(weights) - 2, -1, -1):
         d *= acts[layer + 1] > 0
-        np.matmul(d.T, acts[layer], out=grad_w[layer])
+        np.dot(d.T, acts[layer], out=grad_w[layer])
         np.add.reduce(d, axis=0, out=grad_b[layer])
         if layer > 0:
-            d = d @ weights[layer]
+            d = np.dot(d, weights[layer])
 
 
 def _views(buf, model: MLPModel):
@@ -232,16 +253,16 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     """Loss and parameter gradient of the weight-normalized empirical risk.
 
     Returns ``(loss, grad_weights, grad_biases)`` with gradient entries shaped
-    like ``model.weights`` / ``model.biases``.
+    like ``model.weights`` / ``model.biases``.  The rows go through the same
+    contract as mlp_fit's (_fit_rows): zero-weight rows change nothing, and a
+    logistic model's labels must be 0/1.
     """
-    x = _check_x(x, model.input_dim)
-    y = _check_vector(y, x.shape[0], "y")
-    w = _check_weights(sample_weight, x.shape[0])
-    w_sum = w.sum()
+    x, y, w = _fit_rows(_check_x(x, model.input_dim), y, sample_weight,
+                        binary=model.config.loss == "logistic")
     grad_w, grad_b = _views(np.empty(model.n_parameters), model)
     params = (model.config.loss, model.config.clamp_bound, model.weights, model.biases)
-    _loss_grad(*params, x, y, w, w_sum, grad_w, grad_b)
-    return _loss_value(*params, x, y, w, w_sum), grad_w, grad_b
+    _loss_grad(*params, x, y, w, grad_w, grad_b)
+    return _loss_value(*params, x, y, w, w.sum()), grad_w, grad_b
 
 
 def _check_weights(sample_weight, n) -> np.ndarray:
@@ -286,7 +307,11 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     gradients views into a second buffer ``grad`` of the same layout, so one
     update moves every parameter and one copy checkpoints them.  Each epoch
     gathers the training rows once in permutation order; its batches are then
-    contiguous slices.
+    contiguous slices.  A step skips work that is an exact identity: the
+    clamp and its subgradient when every raw output of the batch lies strictly
+    inside the bound, and the weight product and sum when every weight is 1
+    (the 0/1 strata of the estimators, once the zeros are dropped).  The
+    results are the same bits as the full computation.
     """
     x, y, w = _fit_rows(x, y, sample_weight, binary=config.loss == "logistic")
 
@@ -309,6 +334,7 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     wv_sum = wv.sum()
     n_train = xt.shape[0]
     wt_sum_full = wt.sum()
+    unit = bool((w == 1.0).all())
     batches = [slice(start, start + config.batch_size)
                for start in range(0, n_train, config.batch_size)]
 
@@ -320,11 +346,11 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_train)
-            xe, ye, we = xt[order], yt[order], wt[order]
+            xe, ye = xt.take(order, axis=0), yt.take(order)
+            we = None if unit else wt.take(order)
             for batch in batches:
-                bw = we[batch]
-                _loss_grad(loss, bound, weights, biases, xe[batch], ye[batch], bw,
-                           np.add.reduce(bw), grad_w, grad_b)
+                _loss_grad(loss, bound, weights, biases, xe[batch], ye[batch],
+                           None if unit else we[batch], grad_w, grad_b)
                 grad *= step
                 theta -= grad
             epoch_loss = _loss_value(loss, bound, weights, biases, xt, yt, wt, wt_sum_full)

@@ -269,6 +269,68 @@ def test_weighted_gradient_is_weighted_average():
     assert_allclose(combined, acc / w.sum(), atol=1e-12)
 
 
+def test_loss_grad_zero_weight_row_changes_nothing():
+    # Dropped on entry, a zero-weight row cannot reach the arithmetic, even
+    # with inputs that would overflow every activation.
+    x = np.array([[0.3, -0.2], [-0.5, 0.9], [1e308, 1e308]])
+    y = np.array([0.4, -1.0, 2.0])
+    for seed in range(20):
+        m = mlp_init(MLPConfig(depth=2, width=4, seed=seed, clamp_bound=10.0), 2)
+        value, gw, gb = mlp_loss_grad(m, x, y, np.array([1.0, 1.0, 0.0]))
+        kept_value, kept_gw, kept_gb = mlp_loss_grad(m, x[:2], y[:2], np.ones(2))
+        assert value == kept_value
+        assert flat_params(gw, gb).tobytes() == flat_params(kept_gw, kept_gb).tobytes()
+
+
+def test_loss_grad_checks_logistic_labels():
+    m = mlp_init(MLPConfig(depth=1, width=2, loss="logistic", clamp_bound=1.0), 2)
+    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
+    y = np.array([0.0, 1.0, 7.0, 1.0])
+    with pytest.raises(InputError, match="0/1"):
+        mlp_loss_grad(m, x, y)
+    # Labels are checked on the rows that carry weight.
+    mlp_loss_grad(m, x, y, np.array([1.0, 1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("loss", ["square", "logistic"])
+@pytest.mark.parametrize("beyond", [True, False])
+def test_clamp_subgradient_on_mixed_batch(loss, beyond):
+    """One batch with raw outputs inside, exactly at and beyond the bound:
+    only the rows strictly inside carry gradient."""
+    bound = 1.5
+    m = mlp_init(MLPConfig(depth=1, width=2, loss=loss, clamp_bound=bound), 1)
+    # relu(x) - relu(-x): the raw output is the input, bit for bit.
+    m = dataclasses.replace(m, weights=(np.array([[1.0], [-1.0]]), np.array([[1.0, -1.0]])),
+                            biases=(np.zeros(2), np.zeros(1)))
+    raw = np.array([-bound, -0.7, 0.2, 1.1, bound] + ([-3.0, 2.5] if beyond else []))
+    x = raw[:, None]
+    unclamped = dataclasses.replace(m, config=dataclasses.replace(m.config, clamp_bound=1e300))
+    assert np.array_equal(mlp_predict(unclamped, x), raw)
+    rng = np.random.default_rng(5)
+    if loss == "logistic":
+        y = rng.integers(0, 2, raw.size).astype(float)
+    else:
+        y = rng.normal(size=raw.size)
+    w = rng.uniform(0.5, 2.0, raw.size)
+
+    value, gw, gb = mlp_loss_grad(m, x, y, w)
+    f = np.clip(raw, -bound, bound)
+    per = (f - y) ** 2 if loss == "square" else np.log1p(np.exp(f)) - y * f
+    assert_allclose(value, np.sum(w * per) / w.sum(), rtol=1e-13)
+    inside = np.abs(raw) < bound
+    _, gw_in, gb_in = mlp_loss_grad(m, x[inside], y[inside], w[inside])
+    share = w[inside].sum() / w.sum()
+    assert_allclose(flat_params(gw, gb), share * flat_params(gw_in, gb_in),
+                    rtol=1e-13, atol=1e-16)
+    assert np.any(flat_params(gw_in, gb_in) != 0.0)
+
+    # With every row strictly inside, the clamp is the identity.
+    xi, yi, wi = x[inside], y[inside], w[inside]
+    a, b = mlp_loss_grad(m, xi, yi, wi), mlp_loss_grad(unclamped, xi, yi, wi)
+    assert a[0] == b[0]
+    assert flat_params(*a[1:]).tobytes() == flat_params(*b[1:]).tobytes()
+
+
 # ----------------------------------------------------------------- mlp_fit
 
 

@@ -14,8 +14,11 @@ not depend on the machine's CPU count.  Every output file and the exit code
 
 CLI runs: ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6
 and p=26, and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
-with the nested MLP stage-one regression, ``estimate_ate`` with a
-ConstantSpec mu, and a 100-replication lasso ``coverage_study`` at n=400.
+with the nested MLP stage-one regression, ``estimate_cate`` with MLP
+nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
+``coverage_study`` at n=400, and direct ``mlp_fit`` runs that reach the
+network step's slower branches: non-unit sample weights, and a clamp that
+binds in some training steps and not in others, under each loss.
 """
 
 from __future__ import annotations
@@ -82,20 +85,26 @@ def cli_runs(out: Path) -> None:
 
 
 def api_runs(out: Path) -> None:
+    import numpy as np
+
     from drnets import (
         ConstantSpec,
         DgpConfig,
         LassoSpec,
         LearnerSpec,
+        MLPConfig,
         coverage_study,
         default_final_config,
         default_learner_spec,
         estimate_ate,
+        estimate_cate,
         estimate_dte,
         gen_cate,
         gen_dte,
+        mlp_fit,
         report_to_dict,
     )
+    from drnets.nnet import mlp_to_dict
 
     def dte_nested_mlp():
         data, _ = gen_dte(DgpConfig(kind="dte_linear", noise_sd=1.0), N, 11)
@@ -112,7 +121,38 @@ def api_runs(out: Path) -> None:
         return coverage_study(DgpConfig(kind="dte_linear", noise_sd=1.0), "lasso",
                               reps=100, n=N, seed=13)
 
+    def cate_mlp():
+        data, _ = gen_cate(DgpConfig(kind="cate_sparse_smooth"), N, 14)
+        est = estimate_cate(data, default_learner_spec("mlp", N, seed=14),
+                            default_final_config(N, seed=14), seed=14)
+        return {"provenance": est.provenance, "model_half1": mlp_to_dict(est.model_half1),
+                "model_half2": mlp_to_dict(est.model_half2)}
+
+    def fit(loss, weighted, clamp_bound=None):
+        """One mlp_fit on a fixed draw: its parameters and loss traces."""
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1, 1, (N, 4))
+        y = x[:, 0] - x[:, 1] ** 2 + 0.5 * rng.normal(size=N)
+        if loss == "logistic":
+            y = (y > 0).astype(np.float64)
+        w = None
+        if weighted:
+            w = rng.uniform(0.1, 2.0, N)
+            w[rng.uniform(size=N) < 0.2] = 0.0
+        cfg = MLPConfig(depth=2, width=8, loss=loss, epochs=30, batch_size=32, step_size=0.1,
+                        seed=15, clamp_bound=clamp_bound)
+        model = mlp_fit(x, y, cfg, sample_weight=w)
+        return {**mlp_to_dict(model), "training_loss": list(model.training_loss),
+                "validation_loss": list(model.validation_loss)}
+
     _api(out, "api_dte_nested_mlp", dte_nested_mlp)
+    _api(out, "api_cate_mlp", cate_mlp)
+    _api(out, "api_mlp_fit_weighted", lambda: fit("square", weighted=True))
+    # Bounds at which the clamp binds in some training steps and not in others.
+    _api(out, "api_mlp_fit_clamped_square",
+         lambda: fit("square", weighted=False, clamp_bound=1.5))
+    _api(out, "api_mlp_fit_clamped_logistic",
+         lambda: fit("logistic", weighted=False, clamp_bound=2.0))
     _api(out, "api_ate_constant_mu", ate_constant_mu)
     _api(out, "api_coverage_lasso", coverage)
 
