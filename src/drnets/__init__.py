@@ -1,5 +1,7 @@
 """Doubly robust estimation of single- and multi-stage treatment effects."""
 
+import types
+
 from drnets.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -58,59 +60,6 @@ from drnets.simlab import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "ConstantSpec",
-    "ConvergenceError",
-    "CateData",
-    "CateNuisance",
-    "DgpConfig",
-    "DivergenceError",
-    "DrnetsError",
-    "DteData",
-    "DteNuisance",
-    "EmptySubgroupError",
-    "EstimateReport",
-    "EstimationError",
-    "FixedSpec",
-    "FoldError",
-    "InputError",
-    "LassoSpec",
-    "LearnerSpec",
-    "LinearModel",
-    "MLPConfig",
-    "MLPModel",
-    "SeparationError",
-    "SplitError",
-    "StratumError",
-    "cate_pseudo_outcome",
-    "cde_score",
-    "coverage_study",
-    "default_final_config",
-    "default_learner_spec",
-    "delta_decomposition",
-    "double_robustness_study",
-    "dte_score",
-    "dte_stage2_pseudo_outcome",
-    "estimate_ate",
-    "estimate_cate",
-    "estimate_cde",
-    "estimate_dte",
-    "estimate_mu_dr",
-    "gen_cate",
-    "gen_dte",
-    "generate",
-    "lasso_fit",
-    "logistic_lasso_fit",
-    "make_folds",
-    "mlp_fit",
-    "mlp_init",
-    "mlp_predict",
-    "oracle_learner_spec",
-    "oracle_theta",
-    "orthogonality_study",
-    "rate_slope_study",
-    "report_to_dict",
-    "report_to_json",
-    "select_lambda",
-]
+# The public names are the classes, functions and errors imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

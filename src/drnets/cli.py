@@ -30,7 +30,7 @@ from .estimators import (
     report_to_dict,
 )
 from .nnet import mlp_to_dict
-from .scores import CateData, DteData
+from .scores import CateData, DteData, _check_seed
 from .simlab import (
     CATE_KINDS,
     DTE_KINDS,
@@ -178,14 +178,18 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     """Merge explicit flags over config-file values over study defaults."""
     values: dict = {}
     if getattr(args, "config", None) is not None:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc})")
+            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
                 raise ConfigurationError(f"invalid config JSON: {exc}")
+        if isinstance(loaded, dict):  # a report's embedded block, or the values alone
+            loaded = loaded.get("config", loaded)
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        for key, value in loaded.get("config", loaded).items():
+        for key, value in loaded.items():
             if key not in _CONFIG_TYPES:
                 raise ConfigurationError(f"unknown config key {key!r}")
             # Float fields also take ints, n_grid a list of ints; no field takes a bool.
@@ -207,8 +211,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         values = {**_STUDY_DEFAULTS[values["study"]], **values}
     run = RunConfig(**values)
 
-    if run.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {run.seed}")
+    _check_seed(run.seed)
     if run.command == "estimate" and run.estimand not in ESTIMANDS:
         raise ConfigurationError(f"estimate requires --estimand from {', '.join(ESTIMANDS)}")
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
@@ -317,39 +320,34 @@ def cmd_diagnose(run: RunConfig) -> int:
 # ------------------------------------------------------------------ driver
 
 
+# Each command's help line, handler and flags, in --help order.  A flag's type
+# is its RunConfig annotation; "study" is diagnose's positional argument.
+_COMMANDS = {
+    "simulate": ("draw a synthetic dataset", cmd_simulate, ("dgp", "n")),
+    "estimate": ("run an estimator on a CSV file", cmd_estimate,
+                 ("estimand", "data", "K", "alpha", "probe")),
+    "diagnose": ("run a Monte Carlo study", cmd_diagnose,
+                 ("study", "dgp", "reps", "n", "alpha", "scale")),
+}
+_CHOICES = {"dgp": CATE_KINDS + DTE_KINDS, "estimand": ESTIMANDS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drnets",
         description="Doubly robust treatment-effect estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="draw a synthetic dataset")
-    sim.add_argument("--dgp", choices=CATE_KINDS + DTE_KINDS)
-    sim.add_argument("--n", type=int)
-
-    est = sub.add_parser("estimate", help="run an estimator on a CSV file")
-    est.add_argument("--estimand", choices=ESTIMANDS)
-    est.add_argument("--data")
-    est.add_argument("--K", type=int)
-    est.add_argument("--alpha", type=float)
-    est.add_argument("--probe")
-
-    diag = sub.add_parser("diagnose", help="run a Monte Carlo study")
-    diag.add_argument("study", nargs="?")
-    diag.add_argument("--dgp", choices=CATE_KINDS + DTE_KINDS)
-    diag.add_argument("--reps", type=int)
-    diag.add_argument("--n", type=int)
-    diag.add_argument("--alpha", type=float)
-    diag.add_argument("--scale", type=float)
-    for cmd in (sim, est, diag):
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out")
+    for name, (help_line, _, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for key in keys + ("seed", "out"):
+            if key == "study":
+                cmd.add_argument(key, nargs="?")
+            else:
+                hint = _CONFIG_TYPES[key]
+                cmd.add_argument(f"--{key}", type=(get_args(hint) or (hint,))[0],
+                                 choices=_CHOICES.get(key))
         cmd.add_argument("--config")
     return parser
-
-
-_DISPATCH = {"simulate": cmd_simulate, "estimate": cmd_estimate,
-             "diagnose": cmd_diagnose}
 
 
 def main(argv=None) -> int:
@@ -360,7 +358,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         run = _resolve(args)
-        return _DISPATCH[run.command](run)
+        return _COMMANDS[run.command][1](run)
     except (ConfigurationError, InputError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, EstimationError) else 3 if isinstance(exc, OSError) else 2

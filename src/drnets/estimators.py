@@ -37,7 +37,9 @@ from .scores import (
     CateNuisance,
     DteData,
     DteNuisance,
+    PROPENSITY_CLIP,
     _check_clip,
+    _check_seed,
     _relabel_cde,
     cate_pseudo_outcome,
     dte_score,
@@ -112,12 +114,9 @@ def _describe(cfg) -> dict:
     if isinstance(cfg, tuple):
         c1, c0 = _arm_configs(cfg)
         return {"treated": _describe(c1), "control": _describe(c0)}
-    if isinstance(cfg, MLPConfig):
-        return {"family": "mlp", **asdict(cfg)}
-    if isinstance(cfg, LassoSpec):
-        return {"family": "lasso", "lam": cfg.lam, "grid_size": cfg.grid_size}
-    if isinstance(cfg, ConstantSpec):
-        return {"family": "constant", "value": cfg.value}
+    for family, spec in (("mlp", MLPConfig), ("lasso", LassoSpec), ("constant", ConstantSpec)):
+        if isinstance(cfg, spec):
+            return {"family": family, **asdict(cfg)}
     return {"family": "fixed"}
 
 
@@ -273,7 +272,7 @@ def estimate_ate(
     n_folds: int = 5,
     alpha: float = 0.05,
     seed: int = 0,
-    propensity_clip: float = 0.01,
+    propensity_clip: float = PROPENSITY_CLIP,
 ) -> EstimateReport:
     """Cross-fitted mean of the bias-corrected outcome contrast."""
     _check_settings(alpha, propensity_clip)
@@ -327,7 +326,7 @@ def estimate_cate(
     learners: LearnerSpec,
     final_stage: MLPConfig,
     seed: int = 0,
-    propensity_clip: float = 0.01,
+    propensity_clip: float = PROPENSITY_CLIP,
 ) -> CateEstimate:
     """Two-way sample split: nuisances on one half, effect regression on the other.
 
@@ -335,6 +334,7 @@ def estimate_cate(
     two effect networks are averaged.  If a half lacks a treatment arm the
     split is redrawn once with seed+1 before failing.
     """
+    _check_seed(seed)
     _check_clip(propensity_clip)
     mu_cfg = _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
@@ -387,7 +387,7 @@ def estimate_mu_dr(
     learners: LearnerSpec,
     final_stage: MLPConfig,
     seed: int = 0,
-    propensity_clip: float = 0.01,
+    propensity_clip: float = PROPENSITY_CLIP,
 ) -> MlpPair:
     """Stage-one outcome regression with a second-stage bias correction.
 
@@ -396,6 +396,7 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
+    _check_seed(seed)
     _check_clip(propensity_clip)
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
@@ -428,7 +429,7 @@ def estimate_dte(
     n_folds: int = 5,
     alpha: float = 0.05,
     seed: int = 0,
-    propensity_clip: float = 0.01,
+    propensity_clip: float = PROPENSITY_CLIP,
 ) -> EstimateReport:
     """Cross-fitted mean outcome under the always-treated two-stage path.
 
@@ -492,7 +493,7 @@ def estimate_cde(
     n_folds: int = 5,
     alpha: float = 0.05,
     seed: int = 0,
-    propensity_clip: float = 0.01,
+    propensity_clip: float = PROPENSITY_CLIP,
 ) -> EstimateReport:
     """Mean outcome at exposure level t with the mediator held at level m.
 

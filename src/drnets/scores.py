@@ -21,6 +21,8 @@ from .nnet import _check_vector, _check_x
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
+PROPENSITY_CLIP = 0.01  # the default clip of every nuisance bundle and estimator
+
 
 def _covariates(s, name) -> np.ndarray:
     s = _check_x(s, name=name)
@@ -95,6 +97,11 @@ class DteData:
         return DteData(self.s1[idx], self.t1[idx], self.s2[idx], self.t2[idx], self.y[idx], m)
 
 
+def _check_seed(seed) -> None:
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_clip(c: float) -> None:
     if not (0.0 < c < 0.5):
         raise ConfigurationError(f"propensity_clip must lie in (0, 0.5), got {c}")
@@ -111,7 +118,7 @@ class CateNuisance:
     pi: PredictFn
     mu1: PredictFn
     mu0: PredictFn
-    propensity_clip: float = 0.01
+    propensity_clip: float = PROPENSITY_CLIP
 
     def __post_init__(self):
         _check_clip(self.propensity_clip)
@@ -133,7 +140,7 @@ class DteNuisance:
     rho: Optional[PredictFn] = None
     nu: Optional[PredictFn] = None
     mu: Optional[PredictFn] = None
-    propensity_clip: float = 0.01
+    propensity_clip: float = PROPENSITY_CLIP
 
     def __post_init__(self):
         _check_clip(self.propensity_clip)
@@ -168,6 +175,7 @@ def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle followed by round-robin assignment."""
     if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):  # bools are ints below 2
         raise ConfigurationError(f"n_folds must be an integer >= 2, got {n_folds!r}")
+    _check_seed(seed)
     if n_total < n_folds:
         raise ConfigurationError(f"need at least n_folds={n_folds} rows, got {n_total}")
     perm = np.random.default_rng(seed).permutation(n_total)

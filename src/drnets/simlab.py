@@ -10,7 +10,7 @@ means under uniform covariates; rough baselines are dense sawtooth sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -66,10 +66,14 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in CATE_KINDS + DTE_KINDS:
             raise ConfigurationError(f"unknown DGP kind {self.kind!r}")
-        for name in ("d", "d1", "d2", "q", "coef_seed"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self)[1:]:  # every field after kind, checked by its annotation
+            value, real = getattr(self, f.name), f.type == "float"
+            kinds = (int, np.integer, float, np.floating) if real else (int, np.integer)
+            if type(value) is bool or not isinstance(value, kinds):
+                raise ConfigurationError(
+                    f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
+            if real and not np.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.coef_seed < 0:
             raise ConfigurationError(f"coef_seed must be >= 0, got {self.coef_seed}")
         dims = (self.d,) if self.kind in CATE_KINDS else (self.d1, self.d2)
@@ -78,11 +82,8 @@ class DgpConfig:
         if not 1 <= self.q <= dims[0]:  # the active coordinates lie in s (or s1)
             first = "d" if self.kind in CATE_KINDS else "d1"
             raise ConfigurationError(f"q must lie in [1, {first}], got {self.q}")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+        if self.noise_sd < 0:
             raise ConfigurationError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        for name in ("propensity_offset", "effect_scale", "baseline_scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if abs(self.propensity_offset) > 1.0:
             raise ConfigurationError("propensity_offset must lie in [-1, 1]")
 
@@ -472,7 +473,7 @@ def _study_learners(family: str, truth) -> LearnerSpec:
         return default_learner_spec("lasso")
     if family == "mlp":
         net = default_final_config(800)
-        return LearnerSpec(pi=LassoSpec(grid_size=8), mu=net, rho=net, nu=net)
+        return LearnerSpec(pi=LassoSpec(), mu=net, rho=net, nu=net)
     if family == "oracle":
         return oracle_learner_spec(truth)
     raise ConfigurationError(f"unknown learner family {family!r}")
@@ -577,7 +578,7 @@ def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
 
 def _dr_learners(misspec: str, truth) -> LearnerSpec:
     consistent_mu = default_final_config(2000)
-    consistent_pi = LassoSpec(grid_size=8)
+    consistent_pi = LassoSpec()
     wrong = ConstantSpec()
     if misspec == "mu_wrong":
         return LearnerSpec(pi=consistent_pi, mu=wrong)

@@ -367,6 +367,25 @@ def test_hostile_data_file_exits_with_one_line(tmp_path, capsys, case):
     assert code in (2, 4) and err.count("\n") == 1 and message in err, (code, err)
 
 
+# Hostile --config files: each must exit 2 with one line.
+_HOSTILE_CONFIGS = {
+    "non_utf8": b'\xff\xfe{"n": 3}',
+    "config_member_a_list": b'{"config": [1, 2]}',
+    "config_member_null": b'{"config": null}',
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE_CONFIGS))
+def test_hostile_config_file_exits_2_with_one_line(tmp_path, capsys, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(_HOSTILE_CONFIGS[case])
+    code = run_cli("simulate", "--dgp", "dte_linear", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.csv"))
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and err.startswith("error: "), (code, err)
+
+
 def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
     plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
     run_cli("simulate", "--dgp", "dte_linear", "--n", "200", "--seed", "8", "--out", str(plain))
@@ -395,6 +414,7 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
      {"dgp_fields": {"propensity_offset": float("nan")}}),
     (["diagnose", "orthogonality", "--scale", "nan", "--n", "1000"], None),
     (["diagnose", "orthogonality", "--scale", "inf", "--n", "1000"], None),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"noise_sd": True}}),
 ])
 def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
     monkeypatch.chdir(tmp_path)

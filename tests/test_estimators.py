@@ -285,6 +285,28 @@ def test_half_split_estimators_check_the_clip_before_any_fit(monkeypatch):
                        propensity_clip=0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, np.float64(2.0), "3"])
+def test_every_estimator_checks_the_seed_before_any_fit(monkeypatch, seed):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance was fit before the seed was checked")
+
+    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
+    monkeypatch.setattr(estimators, "mlp_fit", no_fit)
+    d, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
+    cate = CateData(d.s1, d.t1, d.y)
+    lasso = LassoSpec(grid_size=4)
+    learners = LearnerSpec(pi=lasso, mu=lasso, rho=lasso, nu=lasso)
+    runs = [lambda: make_folds(80, 5, seed),
+            lambda: estimate_ate(cate, learners, seed=seed),
+            lambda: estimate_cate(cate, learners, SMALL_FINAL, seed=seed),
+            lambda: estimate_mu_dr(d, learners, SMALL_FINAL, seed=seed),
+            lambda: estimate_dte(d, learners, SMALL_FINAL, seed=seed),
+            lambda: estimate_cde(d, (1, 1), learners, SMALL_FINAL, seed=seed)]
+    for run in runs:
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            run()
+
+
 def test_mu_dr_stratum_errors():
     rng = np.random.default_rng(16)
     n = 40

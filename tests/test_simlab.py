@@ -263,6 +263,14 @@ def test_config_rejects_non_finite_scales(name, value):
         DgpConfig(kind="cate_linear", **{name: value})
 
 
+@pytest.mark.parametrize("name", ["noise_sd", "propensity_offset", "effect_scale",
+                                  "baseline_scale"])
+@pytest.mark.parametrize("value", [True, "a", None])
+def test_config_rejects_non_numbers_in_float_fields(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be a number, got {value!r}"):
+        DgpConfig(kind="cate_linear", **{name: value})
+
+
 def test_studies_reject_degenerate_sizes():
     config = DgpConfig(kind="cate_sparse_smooth")
     with pytest.raises(ConfigurationError, match="n must be at least 2"):

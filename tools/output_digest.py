@@ -12,8 +12,9 @@ checkout.  BLAS runs on one thread and DRNETS_THREADS=1, so the outputs do
 not depend on the machine's CPU count.  Every output file and the exit code
 (and stderr) of every run are written; an empty ``diff -r`` is the check.
 
-CLI runs: ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6
-and p=26, and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
+CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
+``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26,
+and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
 with the nested MLP stage-one regression, ``estimate_cate`` with MLP
 nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
 ``coverage_study`` at n=400, and direct ``mlp_fit`` runs that reach the
@@ -28,6 +29,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 os.environ["DRNETS_THREADS"] = "1"
+os.environ["COLUMNS"] = "80"  # argparse wraps --help text at the terminal width
 # The CLI runs start in OUTDIR, so a relative PYTHONPATH entry must be made absolute.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
@@ -54,10 +56,13 @@ CLI_CASES = [
 
 
 def _cli(out: Path, name: str, *args: str) -> None:
-    """Run the drnets CLI in a fresh interpreter; record its exit code and stderr."""
+    """Run the drnets CLI in a fresh interpreter; record its exit code, stderr
+    and any stdout."""
     proc = subprocess.run([sys.executable, "-m", "drnets.cli", *args],
                           capture_output=True, text=True, cwd=out)
     (out / f"{name}.exit").write_text(f"{proc.returncode}\n{proc.stderr}")
+    if proc.stdout:
+        (out / f"{name}.stdout").write_text(proc.stdout)
 
 
 def _api(out: Path, name: str, fn) -> None:
@@ -72,6 +77,9 @@ def _api(out: Path, name: str, fn) -> None:
 
 
 def cli_runs(out: Path) -> None:
+    _cli(out, "help_drnets", "--help")
+    for command in ("simulate", "estimate", "diagnose"):
+        _cli(out, f"help_{command}", command, "--help")
     for estimand, kind, p, fields in CLI_CASES:
         stem = f"{estimand}_p{p}"
         (out / f"{stem}_dgp.json").write_text(json.dumps({"dgp_fields": fields}))
