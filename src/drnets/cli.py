@@ -359,8 +359,9 @@ def main(argv=None) -> int:
     try:
         run = _resolve(args)
         return _COMMANDS[run.command][1](run)
-    except (ConfigurationError, InputError, EstimationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, InputError, EstimationError, OSError, MemoryError) as exc:
+        # MemoryError: e.g. an --n that passes every check but cannot be drawn.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4 if isinstance(exc, EstimationError) else 3 if isinstance(exc, OSError) else 2
 
 

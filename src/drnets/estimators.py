@@ -31,7 +31,8 @@ from .errors import (
     StratumError,
 )
 from .linmod import lasso_fit, logistic_lasso_fit, select_lambda
-from .nnet import MLPConfig, MLPModel, _check_weights, _expit, mlp_fit, mlp_predict
+from .nnet import (MLPConfig, MLPModel, _check_fields, _check_weights, _expit, mlp_fit,
+                   mlp_predict)
 from .scores import (
     CateData,
     CateNuisance,
@@ -54,11 +55,12 @@ from .scores import (
 class LassoSpec:
     """L1 learner; lam=None selects the penalty on a log-spaced grid."""
 
-    lam: Optional[float] = None
+    lam: float | None = None
     grid_size: int = 8
 
     def __post_init__(self):
-        if self.lam is not None and not (self.lam >= 0 and np.isfinite(self.lam)):
+        _check_fields(self)
+        if self.lam is not None and self.lam < 0:
             raise ConfigurationError(f"lam must be non-negative, got {self.lam}")
         if self.grid_size < 2:
             raise ConfigurationError(f"grid_size must be >= 2, got {self.grid_size}")
@@ -68,7 +70,10 @@ class LassoSpec:
 class ConstantSpec:
     """Predicts the weighted target mean: a deliberately inflexible learner."""
 
-    value: Optional[float] = None  # fixed level instead of the fitted mean
+    value: float | None = None  # fixed level instead of the fitted mean
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,9 @@ def _check_settings(alpha, propensity_clip):
 
 
 def _make_report(estimand, scores_by_fold, theta, alpha, seed, learner_configs):
+    for k, fold_scores in enumerate(scores_by_fold):
+        if not np.isfinite(fold_scores).all():
+            raise EstimationError(f"fold {k}: scores are not finite")
     all_scores = np.concatenate(scores_by_fold)
     n = all_scores.size
     sigma = float(np.sqrt(np.mean((all_scores - theta) ** 2)))

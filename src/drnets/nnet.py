@@ -26,7 +26,7 @@ computation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class MLPConfig:
     clamp_bound: float | None = None
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {self.depth}")
         if self.width < 1:
@@ -70,15 +71,15 @@ class MLPConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.step_size > 0 and np.isfinite(self.step_size)):
+        if self.step_size <= 0:
             raise ConfigurationError(f"step_size must be positive, got {self.step_size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ConfigurationError(
                 f"validation_fraction must lie in [0, 0.5], got {self.validation_fraction}"
             )
-        if self.clamp_bound is not None and not (
-            self.clamp_bound > 0 and np.isfinite(self.clamp_bound)
-        ):
+        if self.clamp_bound is not None and self.clamp_bound <= 0:
             raise ConfigurationError(f"clamp_bound must be positive, got {self.clamp_bound}")
 
 
@@ -153,6 +154,28 @@ def _check_vector(a, n: int, name: str, binary: bool = False) -> np.ndarray:
     if binary and not ((a == 0) | (a == 1)).all():
         raise InputError(f"{name} must be coded 0/1")
     return a
+
+
+def _check_fields(config) -> None:
+    """Check a config's int and float fields against their annotations.
+
+    An int field takes an integer and a float field a finite number; neither
+    takes a bool.  None passes where the annotation is ``... | None``, and
+    fields of other types are left to the class.  Annotations are read as
+    the strings written (the modules postpone their evaluation).
+    """
+    for f in fields(config):
+        base, _, rest = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if base not in ("int", "float") or (value is None and rest == "None"):
+            continue
+        real = base == "float"
+        kinds = (int, np.integer, float, np.floating) if real else (int, np.integer)
+        if type(value) is bool or not isinstance(value, kinds):
+            raise ConfigurationError(
+                f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
+        if real and not np.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 def _expit(x):

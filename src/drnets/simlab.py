@@ -10,7 +10,7 @@ means under uniform covariates; rough baselines are dense sawtooth sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,8 @@ from .estimators import (
     estimate_cate,
     estimate_dte,
 )
-from .nnet import _expit
-from .scores import CateData, CateNuisance, DteData, delta_decomposition
+from .nnet import _check_fields, _expit
+from .scores import CateData, CateNuisance, DteData, _check_seed, delta_decomposition
 
 CATE_KINDS = ("cate_linear", "cate_sparse_smooth", "cate_rough_outcome")
 DTE_KINDS = ("dte_linear", "dte_sparse_smooth", "cde_binary")
@@ -40,6 +40,8 @@ INDEX_BOUND_CATE = 2.0
 # Two-stage scores multiply two inverse propensities; a narrower band keeps
 # their product (and hence the score variance) moderate.
 INDEX_BOUND_DTE = 1.0
+# The (first, second) treatment paths of a two-stage kind.
+_PATHS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,7 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in CATE_KINDS + DTE_KINDS:
             raise ConfigurationError(f"unknown DGP kind {self.kind!r}")
-        for f in fields(self)[1:]:  # every field after kind, checked by its annotation
-            value, real = getattr(self, f.name), f.type == "float"
-            kinds = (int, np.integer, float, np.floating) if real else (int, np.integer)
-            if type(value) is bool or not isinstance(value, kinds):
-                raise ConfigurationError(
-                    f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
-            if real and not np.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        _check_fields(self)
         if self.coef_seed < 0:
             raise ConfigurationError(f"coef_seed must be >= 0, got {self.coef_seed}")
         dims = (self.d,) if self.kind in CATE_KINDS else (self.d1, self.d2)
@@ -184,55 +179,53 @@ def _propensity(index_fn):
     return lambda s, _f=index_fn: np.clip(_expit(_f(s)), 0.1, 0.9)
 
 
+def _check_draw(n, seed) -> None:
+    """Reject a row count numpy cannot index and a bad seed before any draw."""
+    _check_seed(seed)
+    top = np.iinfo(np.intp).max
+    if type(n) is bool or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
+        raise ConfigurationError(f"n must be an integer in [0, {top}], got {n!r}")
+
+
 # -------------------------------------------------------------- CATE kinds
-
-
-def _cate_structure(config: DgpConfig):
-    """Coefficient draws for one CATE kind; deterministic in coef_seed."""
-    rng = np.random.default_rng([config.coef_seed, 11])
-    q, d = config.q, config.d
-    pi0 = _propensity(_sparse_linear_index(rng, q, d, config.propensity_offset,
-                                           INDEX_BOUND_CATE))
-    es, bs = config.effect_scale, config.baseline_scale
-
-    if config.kind == "cate_linear":
-        gamma = np.zeros(d)
-        gamma[:q] = _signed_uniform(rng, 0.4, 0.9, q) * es
-        beta = np.zeros(d)
-        beta[:q] = _signed_uniform(rng, 0.5, 1.0, q) * bs
-        b0 = float(rng.uniform(-0.5, 0.5)) * bs
-        theta = lambda s: s @ gamma
-        mu0 = lambda s: b0 + s @ beta
-        theta_ate = 0.0
-    elif config.kind == "cate_sparse_smooth":
-        eff = _draw_cosine(rng, q, (0.8, 1.2))
-        base = _draw_cosine(rng, q, (0.8, 1.2))
-        theta = lambda s: es * eff(s)
-        mu0 = lambda s: bs * base(s)
-        theta_ate = es * eff.mean_uniform()
-    else:  # cate_rough_outcome
-        eff = _draw_cosine(rng, q, (0.8, 1.2))
-        rough = _draw_sawtooth_sum(rng, d, (0.6, 1.0))
-        theta = lambda s: es * eff(s)
-        mu0 = lambda s: bs * rough(s)
-        theta_ate = es * eff.mean_uniform()
-
-    mu1 = lambda s: mu0(s) + theta(s)
-    return pi0, mu0, mu1, theta, float(theta_ate)
 
 
 def gen_cate(config: DgpConfig, n: int, seed: int):
     """Draw one single-stage dataset plus its exact truth.
 
-    Covariates are uniform on [-1, 1]^d, the treatment follows pi0, and both
-    potential outcomes share one noise draw so y equals the realized branch
-    bit for bit.
+    The coefficients come from their own generator, deterministic in
+    coef_seed.  Covariates are uniform on [-1, 1]^d, the treatment follows
+    pi0, and both potential outcomes share one noise draw so y equals the
+    realized branch bit for bit.
     """
     if config.kind not in CATE_KINDS:
         raise ConfigurationError(f"{config.kind!r} is not a single-stage kind")
-    pi0, mu0, mu1, theta, theta_ate = _cate_structure(config)
+    _check_draw(n, seed)
+    crng = np.random.default_rng([config.coef_seed, 11])
+    q, d = config.q, config.d
+    es, bs = config.effect_scale, config.baseline_scale
+    pi0 = _propensity(_sparse_linear_index(crng, q, d, config.propensity_offset,
+                                           INDEX_BOUND_CATE))
+    if config.kind == "cate_linear":
+        gamma = np.zeros(d)
+        gamma[:q] = _signed_uniform(crng, 0.4, 0.9, q) * es
+        beta = np.zeros(d)
+        beta[:q] = _signed_uniform(crng, 0.5, 1.0, q) * bs
+        b0 = float(crng.uniform(-0.5, 0.5)) * bs
+        theta = lambda s: s @ gamma
+        mu0 = lambda s: b0 + s @ beta
+        theta_ate = 0.0
+    else:  # a cosine effect over a cosine (smooth) or sawtooth (rough) baseline
+        eff = _draw_cosine(crng, q, (0.8, 1.2))
+        base = (_draw_cosine(crng, q, (0.8, 1.2)) if config.kind == "cate_sparse_smooth"
+                else _draw_sawtooth_sum(crng, d, (0.6, 1.0)))
+        theta = lambda s: es * eff(s)
+        mu0 = lambda s: bs * base(s)
+        theta_ate = float(es * eff.mean_uniform())
+    mu1 = lambda s: mu0(s) + theta(s)
+
     rng = np.random.default_rng([seed, 7])
-    s = rng.uniform(-1.0, 1.0, (n, config.d))
+    s = rng.uniform(-1.0, 1.0, (n, d))
     t = (rng.random(n) < pi0(s)).astype(np.float64)
     eps = rng.standard_normal(n)
     y1 = mu1(s) + config.noise_sd * eps
@@ -246,32 +239,36 @@ def gen_cate(config: DgpConfig, n: int, seed: int):
 # --------------------------------------------------------------- DTE kinds
 
 
-def _dte_structure(config: DgpConfig):
-    """Coefficient draws for one two-stage kind.
+def gen_dte(config: DgpConfig, n: int, seed: int):
+    """Draw one two-stage dataset plus its exact truth.
 
     The intermediate state is S2 = shift(t1) + carry(s1) + uniform noise,
     scaled so every coordinate stays inside [-1, 1]; that keeps its
-    conditional means exact and the stage-one regression analytic.
+    conditional means exact and the stage-one regression analytic.  Its
+    potential versions S2(0), S2(1) share one noise draw; all four path
+    outcomes share another.  For the mediator kind the second treatment
+    column holds the mediator.
     """
-    rng = np.random.default_rng([config.coef_seed, 13])
+    if config.kind not in DTE_KINDS:
+        raise ConfigurationError(f"{config.kind!r} is not a two-stage kind")
+    _check_draw(n, seed)
+    crng = np.random.default_rng([config.coef_seed, 13])
     q, d1, d2 = config.q, config.d1, config.d2
     es, bs = config.effect_scale, config.baseline_scale
-
-    pi_idx = _sparse_linear_index(rng, q, d1, config.propensity_offset,
-                                  INDEX_BOUND_DTE)
-    pi0 = _propensity(pi_idx)
+    pi0 = _propensity(_sparse_linear_index(crng, q, d1, config.propensity_offset,
+                                           INDEX_BOUND_DTE))
 
     # Per-coordinate budget: |shift| + carry amplitude + eta <= 0.98.
-    shift = rng.uniform(0.2, 0.28, d2)
+    shift = crng.uniform(0.2, 0.28, d2)
     eta = 0.4
     carry_amp = 0.3
     if config.kind == "dte_sparse_smooth":
-        carries = [_draw_cosine(rng, q, (carry_amp, carry_amp)) for _ in range(d2)]
+        carries = [_draw_cosine(crng, q, (carry_amp, carry_amp)) for _ in range(d2)]
         carry = lambda s1: np.column_stack([c(s1) for c in carries])
     else:
         carry_mat = np.zeros((d2, d1))
         for j in range(d2):
-            row = _signed_uniform(rng, 0.5, 1.0, q)
+            row = _signed_uniform(crng, 0.5, 1.0, q)
             carry_mat[j, :q] = row * carry_amp / np.abs(row).sum()
         carry = lambda s1: s1 @ carry_mat.T
 
@@ -279,8 +276,8 @@ def _dte_structure(config: DgpConfig):
         return t1_level * shift[None, :] + carry(s1)
 
     # Second-stage propensity index over (s1 actives, all of s2).
-    raw1 = _signed_uniform(rng, 0.5, 1.0, q)
-    raw2 = _signed_uniform(rng, 0.5, 1.0, d2)
+    raw1 = _signed_uniform(crng, 0.5, 1.0, q)
+    raw2 = _signed_uniform(crng, 0.5, 1.0, d2)
     total = np.abs(raw1).sum() + np.abs(raw2).sum()
     a1 = np.zeros(d1)
     a1[:q] = raw1 * INDEX_BOUND_DTE / total
@@ -288,31 +285,25 @@ def _dte_structure(config: DgpConfig):
     rho0 = _propensity(lambda sb: sb[:, :d1] @ a1 + sb[:, d1:] @ a2)
 
     b_t2_range = (0.8, 1.2) if config.kind == "cde_binary" else (0.3, 0.6)
-    b_t1 = float(rng.uniform(0.4, 0.7)) * es
-    b_t2 = float(rng.uniform(*b_t2_range)) * es
-    b_int = float(rng.uniform(0.2, 0.4)) * es
-    b0 = float(rng.uniform(-0.3, 0.3)) * bs
+    b_t1 = float(crng.uniform(0.4, 0.7)) * es
+    b_t2 = float(crng.uniform(*b_t2_range)) * es
+    b_int = float(crng.uniform(0.2, 0.4)) * es
+    b0 = float(crng.uniform(-0.3, 0.3)) * bs
 
     if config.kind == "dte_sparse_smooth":
-        base = _draw_cosine(rng, q, (0.8, 1.2))
+        base = _draw_cosine(crng, q, (0.8, 1.2))
         f1 = lambda s1: bs * base(s1)
         f1_mean = bs * base.mean_uniform()
     else:
         beta1 = np.zeros(d1)
-        beta1[:q] = _signed_uniform(rng, 0.4, 0.8, q) * bs
+        beta1[:q] = _signed_uniform(crng, 0.4, 0.8, q) * bs
         f1 = lambda s1: s1 @ beta1
         f1_mean = 0.0
-    beta2 = _signed_uniform(rng, 0.4, 0.8, d2) * bs
+    beta2 = _signed_uniform(crng, 0.4, 0.8, d2) * bs
 
     def outcome_mean(s1, s2, lvl1, lvl2):
         return (b0 + f1(s1) + s2 @ beta2
                 + b_t1 * lvl1 + b_t2 * lvl2 + b_int * lvl1 * lvl2)
-
-    def nu0(sbar2):
-        return outcome_mean(sbar2[:, :d1], sbar2[:, d1:], 1.0, 1.0)
-
-    def mu0(s1):
-        return outcome_mean(s1, s2_mean(s1, 1.0), 1.0, 1.0)
 
     # E[mu0(S1)]: linear pieces vanish under centered uniforms.
     theta = (b0 + f1_mean + float(shift @ beta2) + b_t1 + b_t2 + b_int)
@@ -320,46 +311,26 @@ def _dte_structure(config: DgpConfig):
         carry_means = np.array([c.mean_uniform() for c in carries])
         theta += float(carry_means @ beta2)
 
-    return {
-        "pi0": pi0, "rho0": rho0, "nu0": nu0, "mu0": mu0, "theta": theta,
-        "s2_mean": s2_mean, "eta": eta, "outcome_mean": outcome_mean,
-    }
-
-
-def gen_dte(config: DgpConfig, n: int, seed: int):
-    """Draw one two-stage dataset plus its exact truth.
-
-    The intermediate state has potential versions S2(0), S2(1) sharing one
-    noise draw; all four path outcomes share another.  For the mediator
-    kind the second treatment column holds the mediator.
-    """
-    if config.kind not in DTE_KINDS:
-        raise ConfigurationError(f"{config.kind!r} is not a two-stage kind")
-    st = _dte_structure(config)
     rng = np.random.default_rng([seed, 7])
-    s1 = rng.uniform(-1.0, 1.0, (n, config.d1))
-    t1 = (rng.random(n) < st["pi0"](s1)).astype(np.float64)
-    u = rng.uniform(-st["eta"], st["eta"], (n, config.d2))
-    s2_by_arm = {lvl: st["s2_mean"](s1, lvl) + u for lvl in (0.0, 1.0)}
+    s1 = rng.uniform(-1.0, 1.0, (n, d1))
+    t1 = (rng.random(n) < pi0(s1)).astype(np.float64)
+    u = rng.uniform(-eta, eta, (n, d2))
+    s2_by_arm = {lvl: s2_mean(s1, lvl) + u for lvl in (0.0, 1.0)}
     s2 = np.where((t1 == 1.0)[:, None], s2_by_arm[1.0], s2_by_arm[0.0])
     sbar2 = np.concatenate([s1, s2], axis=1)
-    t2 = (rng.random(n) < st["rho0"](sbar2)).astype(np.float64)
+    t2 = (rng.random(n) < rho0(sbar2)).astype(np.float64)
     eps = rng.standard_normal(n)
-    potential = {}
-    for lvl1 in (0, 1):
-        for lvl2 in (0, 1):
-            mean = st["outcome_mean"](s1, s2_by_arm[float(lvl1)], float(lvl1), float(lvl2))
-            potential[(lvl1, lvl2)] = mean + config.noise_sd * eps
-    stacked = np.stack([potential[(0, 0)], potential[(0, 1)],
-                        potential[(1, 0)], potential[(1, 1)]])
+    potential = {(a, b): outcome_mean(s1, s2_by_arm[float(a)], float(a), float(b))
+                 + config.noise_sd * eps for a, b in _PATHS}
+    stacked = np.stack([potential[path] for path in _PATHS])
     y = stacked[(2 * t1 + t2).astype(np.intp), np.arange(n)]
-    truth = DteTruth(pi0=st["pi0"], rho0=st["rho0"], nu0=st["nu0"],
-                     mu0=st["mu0"], theta=st["theta"], potential=potential)
+    truth = DteTruth(
+        pi0=pi0, rho0=rho0, theta=theta, potential=potential,
+        nu0=lambda sbar2: outcome_mean(sbar2[:, :d1], sbar2[:, d1:], 1.0, 1.0),
+        mu0=lambda s1: outcome_mean(s1, s2_mean(s1, 1.0), 1.0, 1.0))
     if config.kind == "cde_binary":
-        data = DteData(s1, t1, s2, t2.copy(), y, m=t2)
-    else:
-        data = DteData(s1, t1, s2, t2, y)
-    return data, truth
+        return DteData(s1, t1, s2, t2.copy(), y, m=t2), truth
+    return DteData(s1, t1, s2, t2, y), truth
 
 
 def generate(config: DgpConfig, n: int, seed: int):
@@ -381,15 +352,12 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
     """
     if n_mc < 10_000:
         raise ConfigurationError(f"n_mc must be at least 10000, got {n_mc}")
+    key = (1, 1) if target is None else tuple(np.ravel(target))
+    if config.kind in DTE_KINDS and key not in _PATHS:
+        raise ConfigurationError(f"target must be one of {_PATHS}, got {target!r}")
     _, truth = generate(config, n_mc, seed)
-    if config.kind in CATE_KINDS:
-        draws = truth.y1 - truth.y0
-    else:
-        key = (1, 1) if target is None else (int(target[0]), int(target[1]))
-        draws = truth.potential[key]
-    theta = float(np.mean(draws))
-    mc_se = float(np.std(draws) / np.sqrt(n_mc))
-    return theta, mc_se
+    draws = truth.y1 - truth.y0 if config.kind in CATE_KINDS else truth.potential[key]
+    return float(np.mean(draws)), float(np.std(draws) / np.sqrt(n_mc))
 
 
 def oracle_learner_spec(truth) -> LearnerSpec:
@@ -543,7 +511,10 @@ def _mse_rep(args):
 
 
 def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
-    """Validate n_grid and reps; return n_grid with the (reps, len(n_grid)) MSE table."""
+    """Validate n_grid and reps and run the (reps, len(n_grid)) MSE table.
+
+    Returns the result keys both MSE studies share and the table itself.
+    """
     if reps < 1:
         raise ConfigurationError(f"reps must be at least 1, got {reps}")
     n_grid = [int(v) for v in n_grid]
@@ -552,25 +523,19 @@ def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
             f"n_grid must be strictly increasing with >= {min_points} points")
     tasks = [(choose, choice, config, n, _derive_seed(seed, r * len(n_grid) + i))
              for r in range(reps) for i, n in enumerate(n_grid)]
-    return n_grid, np.array(parallel_map(_mse_rep, tasks)).reshape(reps, len(n_grid))
+    mse = np.array(parallel_map(_mse_rep, tasks)).reshape(reps, len(n_grid))
+    result = {"kind": config.kind, "n_grid": n_grid, "reps": reps, "seed": seed,
+              "per_n_mse": mse.mean(axis=0).tolist(), "per_rep_mse": mse.tolist()}
+    return result, mse
 
 
 def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
                      learner_family: str = "mlp") -> dict:
     """Log-log slope of effect-regression test MSE against sample size."""
-    n_grid, mse = _mse_table(_study_learners, learner_family, config, n_grid,
-                             reps, seed, min_points=3)
-    per_n = mse.mean(axis=0)
-    slope = float(np.polyfit(np.log(n_grid), np.log(per_n), 1)[0])
-    return {
-        "kind": config.kind,
-        "n_grid": n_grid,
-        "reps": reps,
-        "seed": seed,
-        "per_n_mse": per_n.tolist(),
-        "per_rep_mse": mse.tolist(),
-        "slope": slope,
-    }
+    result, _ = _mse_table(_study_learners, learner_family, config, n_grid,
+                           reps, seed, min_points=3)
+    slope = np.polyfit(np.log(result["n_grid"]), np.log(result["per_n_mse"]), 1)[0]
+    return {**result, "slope": float(slope)}
 
 
 # --------------------------------------------- study: double robustness
@@ -594,16 +559,7 @@ def double_robustness_study(config: DgpConfig, misspec: str, n_grid,
     """Effect-regression MSE across n with one or both nuisances replaced
     by a fitted constant (a deliberately inconsistent learner)."""
     _dr_learners(misspec, None)  # validate before any replication runs
-    n_grid, mse = _mse_table(_dr_learners, misspec, config, n_grid, reps, seed,
+    result, mse = _mse_table(_dr_learners, misspec, config, n_grid, reps, seed,
                              min_points=2)
     decreasing = mse[:, -1] < mse[:, 0]
-    return {
-        "kind": config.kind,
-        "misspec": misspec,
-        "n_grid": n_grid,
-        "reps": reps,
-        "seed": seed,
-        "per_n_mse": mse.mean(axis=0).tolist(),
-        "per_rep_mse": mse.tolist(),
-        "share_decreasing": float(decreasing.mean()),
-    }
+    return {**result, "misspec": misspec, "share_decreasing": float(decreasing.mean())}

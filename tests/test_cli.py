@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +417,7 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
     (["diagnose", "orthogonality", "--scale", "nan", "--n", "1000"], None),
     (["diagnose", "orthogonality", "--scale", "inf", "--n", "1000"], None),
     (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"noise_sd": True}}),
+    (["simulate", "--dgp", "dte_linear", "--n", "100000000000000000000000"], None),
 ])
 def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
     monkeypatch.chdir(tmp_path)
@@ -426,6 +429,23 @@ def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_simulate_with_n_too_large_to_allocate_exits_2_with_one_line(tmp_path):
+    """Run in a child capped at 4 GiB of address space, so the draw fails to
+    allocate on any host instead of filling its memory."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from drnets.cli import main\n"
+            "sys.exit(main(['simulate', '--dgp', 'dte_linear', '--n', '1000000000000',"
+            " '--out', 'x.csv']))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(estimators.__file__).parents[1])}  # the drnets under test
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    err = proc.stderr
+    assert proc.returncode == 2 and err.count("\n") == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_estimate_with_columns_near_stratum_size_exits_0(tmp_path):

@@ -6,6 +6,7 @@ Carlo against analytic truths with wide, pre-registered thresholds.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from drnets import estimators
 from drnets.errors import (
     ConfigurationError,
     ConvergenceError,
+    EstimationError,
     FoldError,
     InputError,
     SeparationError,
@@ -393,6 +395,46 @@ def test_tiny_nested_stratum_is_a_stratum_error_naming_the_fold():
     learners = LearnerSpec(pi=ConstantSpec(), rho=ConstantSpec(), nu=ConstantSpec())
     with pytest.raises(StratumError, match="^fold 0 mu: estimate_mu_dr needs at least 4 rows"):
         estimate_dte(data, learners, SMALL_FINAL, n_folds=2, seed=1)
+
+
+@pytest.mark.parametrize("cls,kwargs,message", [
+    (MLPConfig, {"depth": True}, "depth must be an integer, got True"),
+    (MLPConfig, {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+    (MLPConfig, {"width": 2.5}, "width must be an integer, got 2.5"),
+    (MLPConfig, {"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+    (MLPConfig, {"step_size": "0.1"}, "step_size must be a number, got '0.1'"),
+    (MLPConfig, {"clamp_bound": np.inf}, "clamp_bound must be finite, got inf"),
+    (MLPConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (LassoSpec, {"grid_size": 2.5}, "grid_size must be an integer, got 2.5"),
+    (LassoSpec, {"lam": "0.1"}, "lam must be a number, got '0.1'"),
+    (ConstantSpec, {"value": float("nan")}, "value must be finite, got nan"),
+    (ConstantSpec, {"value": "1"}, "value must be a number, got '1'"),
+    (ConstantSpec, {"value": True}, "value must be a number, got True"),
+])
+def test_config_fields_reject_wrong_types_at_construction(cls, kwargs, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("estimand", ["ate", "dte"])
+def test_non_finite_scores_fail_naming_the_first_bad_fold(estimand):
+    """An injected outcome regression that is NaN at one row makes that row's
+    fold fail with an estimation error, not a NaN report."""
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 200, 4)
+    row = int(np.flatnonzero(make_folds(data.n, 5, 0).assignments == 3)[0])
+
+    def mu(s):
+        return np.where((s == data.s1[row]).all(axis=1), np.nan, 1.0)
+
+    if estimand == "ate":
+        run = lambda: estimate_ate(CateData(data.s1, data.t1, data.y),
+                                   LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=FixedSpec(mu)))
+    else:
+        half = FixedSpec(const_fn(0.5))
+        learners = LearnerSpec(pi=half, rho=half, nu=FixedSpec(const_fn(1.0)), mu=FixedSpec(mu))
+        run = lambda: estimate_dte(data, learners, SMALL_FINAL)
+    with pytest.raises(EstimationError, match="fold 3: scores are not finite"):
+        run()
 
 
 def test_default_helpers():

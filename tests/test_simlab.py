@@ -271,6 +271,20 @@ def test_config_rejects_non_numbers_in_float_fields(name, value):
         DgpConfig(kind="cate_linear", **{name: value})
 
 
+@pytest.mark.parametrize("gen,kind", [(gen_cate, "cate_linear"), (gen_dte, "dte_linear")])
+@pytest.mark.parametrize("n,seed,message", [(-1, 0, "n must be an integer in"),
+                                            (5, -1, "seed must be an integer >= 0")])
+def test_generators_reject_negative_n_and_seed(gen, kind, n, seed, message):
+    with pytest.raises(ConfigurationError, match=message):
+        gen(DgpConfig(kind=kind), n, seed)
+
+
+@pytest.mark.parametrize("target", [(2, 2), (1, 2), (1, 1, 0), "11"])
+def test_oracle_theta_rejects_target_outside_the_four_paths(target):
+    with pytest.raises(ConfigurationError, match="target must be one of"):
+        oracle_theta(DgpConfig(kind="dte_linear"), 10_000, 0, target=target)
+
+
 def test_studies_reject_degenerate_sizes():
     config = DgpConfig(kind="cate_sparse_smooth")
     with pytest.raises(ConfigurationError, match="n must be at least 2"):

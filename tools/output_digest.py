@@ -13,13 +13,16 @@ not depend on the machine's CPU count.  Every output file and the exit code
 (and stderr) of every run are written; an empty ``diff -r`` is the check.
 
 CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
-``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26,
-and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
+``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26
+and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
+at p=6, and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
 with the nested MLP stage-one regression, ``estimate_cate`` with MLP
 nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
-``coverage_study`` at n=400, and direct ``mlp_fit`` runs that reach the
-network step's slower branches: non-unit sample weights, and a clamp that
-binds in some training steps and not in others, under each loss.
+``coverage_study`` at n=400 and an oracle one on cate_rough_outcome, direct
+``mlp_fit`` runs that reach the network step's slower branches (non-unit
+sample weights, and a clamp that binds in some training steps and not in
+others, under each loss), ``oracle_theta`` for every kind, and the
+orthogonality, rate-slope and three double-robustness studies at small sizes.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ CLI_CASES = [
     ("cde", "cde_binary", 26, {"d1": 20, "d2": 6}),
     ("dte", "dte_linear", 6, {"d1": 4, "d2": 2}),
     ("dte", "dte_linear", 26, {"d1": 20, "d2": 6}),
+    ("ate", "cate_rough_outcome", 6, {"d": 6}),
+    ("dte", "dte_sparse_smooth", 6, {"d1": 4, "d2": 2}),
 ]
 
 
@@ -81,15 +86,16 @@ def cli_runs(out: Path) -> None:
     for command in ("simulate", "estimate", "diagnose"):
         _cli(out, f"help_{command}", command, "--help")
     for estimand, kind, p, fields in CLI_CASES:
-        stem = f"{estimand}_p{p}"
+        stem = f"{kind}_p{p}"
         (out / f"{stem}_dgp.json").write_text(json.dumps({"dgp_fields": fields}))
         _cli(out, f"{stem}_simulate", "simulate", "--dgp", kind, "--n", str(N), "--seed", "3",
              "--config", f"{stem}_dgp.json", "--out", f"{stem}.csv")
         _cli(out, f"{stem}_estimate", "estimate", "--estimand", estimand,
              "--data", f"{stem}.csv", "--seed", "5", "--out", f"{stem}_report.json")
     (out / "mlp.json").write_text(json.dumps({"learner_family": "mlp"}))
-    _cli(out, "dte_p6_mlp_estimate", "estimate", "--estimand", "dte", "--data", "dte_p6.csv",
-         "--seed", "5", "--config", "mlp.json", "--out", "dte_p6_mlp_report.json")
+    _cli(out, "dte_p6_mlp_estimate", "estimate", "--estimand", "dte",
+         "--data", "dte_linear_p6.csv", "--seed", "5", "--config", "mlp.json",
+         "--out", "dte_p6_mlp_report.json")
 
 
 def api_runs(out: Path) -> None:
@@ -104,15 +110,20 @@ def api_runs(out: Path) -> None:
         coverage_study,
         default_final_config,
         default_learner_spec,
+        double_robustness_study,
         estimate_ate,
         estimate_cate,
         estimate_dte,
         gen_cate,
         gen_dte,
         mlp_fit,
+        oracle_theta,
+        orthogonality_study,
+        rate_slope_study,
         report_to_dict,
     )
     from drnets.nnet import mlp_to_dict
+    from drnets.simlab import CATE_KINDS, DTE_KINDS
 
     def dte_nested_mlp():
         data, _ = gen_dte(DgpConfig(kind="dte_linear", noise_sd=1.0), N, 11)
@@ -163,6 +174,19 @@ def api_runs(out: Path) -> None:
          lambda: fit("logistic", weighted=False, clamp_bound=2.0))
     _api(out, "api_ate_constant_mu", ate_constant_mu)
     _api(out, "api_coverage_lasso", coverage)
+    for kind in CATE_KINDS + DTE_KINDS:
+        _api(out, f"api_oracle_theta_{kind}",
+             lambda: oracle_theta(DgpConfig(kind=kind), 10_000, 16))
+    smooth = DgpConfig(kind="cate_sparse_smooth")
+    _api(out, "api_orthogonality", lambda: orthogonality_study(smooth, 0.3, 5000, 17))
+    _api(out, "api_rate_slope_lasso",
+         lambda: rate_slope_study(smooth, (200, 300, 400), 2, 18, learner_family="lasso"))
+    for misspec in ("mu_wrong", "pi_wrong", "both_wrong"):
+        _api(out, f"api_double_robustness_{misspec}",
+             lambda: double_robustness_study(smooth, misspec, (200, 400), 2, 19))
+    _api(out, "api_coverage_oracle_rough",
+         lambda: coverage_study(DgpConfig(kind="cate_rough_outcome"), "oracle",
+                                reps=100, n=N, seed=20))
 
 
 def main(argv: list[str]) -> int:
