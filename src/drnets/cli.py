@@ -29,8 +29,8 @@ from .estimators import (
     estimate_dte,
     report_to_dict,
 )
-from .nnet import mlp_to_dict
-from .scores import CateData, DteData, _check_seed
+from .nnet import _check_int, mlp_to_dict
+from .scores import CateData, DteData
 from .simlab import (
     CATE_KINDS,
     DTE_KINDS,
@@ -183,7 +183,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                 loaded = json.load(fh)
             except UnicodeDecodeError as exc:
                 raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc})")
-            except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            except (ValueError, RecursionError) as exc:  # or too many digits, or too deep
                 raise ConfigurationError(f"invalid config JSON: {exc}")
         if isinstance(loaded, dict):  # a report's embedded block, or the values alone
             loaded = loaded.get("config", loaded)
@@ -211,7 +211,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         values = {**_STUDY_DEFAULTS[values["study"]], **values}
     run = RunConfig(**values)
 
-    _check_seed(run.seed)
+    _check_int("seed", run.seed, 0)
     if run.command == "estimate" and run.estimand not in ESTIMANDS:
         raise ConfigurationError(f"estimate requires --estimand from {', '.join(ESTIMANDS)}")
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
@@ -232,8 +232,7 @@ def _dgp_config(run: RunConfig) -> DgpConfig:
 
 def cmd_simulate(run: RunConfig) -> int:
     config = _dgp_config(run)
-    if run.n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {run.n}")
+    _check_int("n", run.n, 1)
     data, truth = generate(config, run.n, run.seed)
     if config.kind in CATE_KINDS:
         estimand, theta = "ate", truth.theta_ate

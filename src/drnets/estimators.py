@@ -31,16 +31,14 @@ from .errors import (
     StratumError,
 )
 from .linmod import lasso_fit, logistic_lasso_fit, select_lambda
-from .nnet import (MLPConfig, MLPModel, _check_fields, _check_weights, _expit, mlp_fit,
-                   mlp_predict)
+from .nnet import (MLPConfig, MLPModel, _check_int, _check_real, _check_weights, _expit,
+                   mlp_fit, mlp_predict)
 from .scores import (
     CateData,
     CateNuisance,
     DteData,
     DteNuisance,
     PROPENSITY_CLIP,
-    _check_clip,
-    _check_seed,
     _relabel_cde,
     cate_pseudo_outcome,
     dte_score,
@@ -59,11 +57,9 @@ class LassoSpec:
     grid_size: int = 8
 
     def __post_init__(self):
-        _check_fields(self)
-        if self.lam is not None and self.lam < 0:
-            raise ConfigurationError(f"lam must be non-negative, got {self.lam}")
-        if self.grid_size < 2:
-            raise ConfigurationError(f"grid_size must be >= 2, got {self.grid_size}")
+        if self.lam is not None:
+            _check_real("lam", self.lam, "[0, inf)")
+        _check_int("grid_size", self.grid_size, 2)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,8 @@ class ConstantSpec:
     value: float | None = None  # fixed level instead of the fitted mean
 
     def __post_init__(self):
-        _check_fields(self)
+        if self.value is not None:
+            _check_real("value", self.value)
 
 
 @dataclass(frozen=True)
@@ -191,15 +188,20 @@ class EstimateReport:
 
 def _check_settings(alpha, propensity_clip):
     """Reject bad run settings before any nuisance is fit; make_folds checks K."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_clip(propensity_clip)
+    _check_real("alpha", alpha, "(0, 1)")
+    _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
+
+
+def _check_finite(values, what):
+    """values, if all are finite; ``what`` names their fold or half and role."""
+    if not np.isfinite(values).all():
+        raise EstimationError(f"{what} are not finite")
+    return values
 
 
 def _make_report(estimand, scores_by_fold, theta, alpha, seed, learner_configs):
     for k, fold_scores in enumerate(scores_by_fold):
-        if not np.isfinite(fold_scores).all():
-            raise EstimationError(f"fold {k}: scores are not finite")
+        _check_finite(fold_scores, f"fold {k}: scores")
     all_scores = np.concatenate(scores_by_fold)
     n = all_scores.size
     sigma = float(np.sqrt(np.mean((all_scores - theta) ** 2)))
@@ -342,8 +344,8 @@ def estimate_cate(
     two effect networks are averaged.  If a half lacks a treatment arm the
     split is redrawn once with seed+1 before failing.
     """
-    _check_seed(seed)
-    _check_clip(propensity_clip)
+    _check_int("seed", seed, 0)
+    _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
     mu_cfg = _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
         idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
@@ -356,7 +358,8 @@ def estimate_cate(
         train = data.subset(train_idx)
         nuis = _cate_nuisance(learners, train, seed, tag, f"half {tag}", propensity_clip)
         held = data.subset(model_idx)
-        pseudo = cate_pseudo_outcome(held, nuis)
+        pseudo = _check_finite(cate_pseudo_outcome(held, nuis),
+                               f"half {tag} final_stage: pseudo-outcomes")
         cfg = replace(final_stage, seed=_derive_seed(seed, tag, 4, final_stage.seed))
         return mlp_fit(held.s, pseudo, cfg)
 
@@ -404,8 +407,8 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
-    _check_seed(seed)
-    _check_clip(propensity_clip)
+    _check_int("seed", seed, 0)
+    _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
     idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
@@ -418,7 +421,8 @@ def estimate_mu_dr(
         held = data.subset(model_idx)
         if not np.any(held.t1 == 1):
             raise StratumError(f"regression half {tag}: t1=1 stratum is empty")
-        pseudo = dte_stage2_pseudo_outcome(held, nuis)
+        pseudo = _check_finite(dte_stage2_pseudo_outcome(held, nuis),
+                               f"regression half {tag} mu: pseudo-outcomes")
         cfg = replace(final_stage, seed=_derive_seed(seed, tag, 13, final_stage.seed))
         return mlp_fit(held.s1, pseudo, cfg, sample_weight=held.t1)
 
@@ -474,8 +478,10 @@ def estimate_dte(
             except EstimationError as exc:
                 raise type(exc)(f"fold {k} mu: {exc}") from exc
         else:
-            mu = _fit_learner(learners.mu, train.s1, dte_stage2_pseudo_outcome(train, stage2),
-                              train.t1, "regression", _derive_seed(seed, k, 25), f"fold {k} mu")
+            pseudo = _check_finite(dte_stage2_pseudo_outcome(train, stage2),
+                                   f"fold {k} mu: pseudo-outcomes")
+            mu = _fit_learner(learners.mu, train.s1, pseudo, train.t1, "regression",
+                              _derive_seed(seed, k, 25), f"fold {k} mu")
         held = data.subset(plan.fold_indices(k))
         scores_by_fold.append(dte_score(held, replace(stage2, pi=pi, mu=mu)))
     theta = float(np.mean([np.mean(s) for s in scores_by_fold]))
@@ -511,10 +517,12 @@ def estimate_cde(
     levels at the same mediator level difference to a controlled direct
     effect.
     """
-    t_level, m_level = int(target[0]), int(target[1])
+    if not isinstance(target, (tuple, list)) or len(target) != 2:
+        raise ConfigurationError(f"target must be a pair (t, m), got {target!r}")
+    _check_int("exposure level", target[0], 0, 1)
+    _check_int("mediator level", target[1])
+    t_level, m_level = int(target[0]), int(target[1])  # plain ints for the report
     relabelled = _relabel_cde(data, (t_level, m_level))
-    if t_level not in (0, 1):
-        raise ConfigurationError(f"exposure level must be 0 or 1, got {t_level}")
     if not np.any(relabelled.t2):
         raise StratumError(f"mediator level m={m_level} never occurs in the data")
     report = estimate_dte(relabelled, learners, final_stage, n_folds=n_folds, alpha=alpha,
@@ -528,6 +536,7 @@ def estimate_cde(
 
 def default_final_config(n: int, seed: int = 0) -> MLPConfig:
     """Effect-regression network sized to the sample: width grows like n^(1/4)."""
+    _check_int("n", n, 0)
     width = int(max(8, round(1.5 * n**0.25)))
     return MLPConfig(
         depth=2,

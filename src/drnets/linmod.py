@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, InputError, SeparationError
-from .nnet import _check_x, _expit, _fit_rows
+from .nnet import _check_int, _check_real, _check_x, _expit, _fit_rows
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -64,8 +64,7 @@ class LinearModel:
 
 def _check_inputs(x, y, lam, sample_weight, binary=False):
     """The fit's rows (nnet._fit_rows) with weights normalized to sum 1."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ConfigurationError(f"lam must be a non-negative float, got {lam}")
+    _check_real("lam", lam, "[0, inf)")
     x, y, w = _fit_rows(x, y, sample_weight, binary)
     return x, y, w / np.add.reduce(w)
 
@@ -294,8 +293,8 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
     """
     if link not in _LINKS:
         raise ConfigurationError(f"link must be one of {_LINKS}, got {link!r}")
-    if grid_size < 2:
-        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size}")
+    _check_int("grid_size", grid_size, 2)
+    _check_int("seed", seed, 0)
     x, y, w = _check_inputs(x, y, 0.0, sample_weight, binary=link == "logistic")
     n = x.shape[0]
     if n < 5:

@@ -26,7 +26,8 @@ computation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,27 +61,15 @@ class MLPConfig:
     clamp_bound: float | None = None
 
     def __post_init__(self) -> None:
-        _check_fields(self)
-        if self.depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {self.depth}")
-        if self.width < 1:
-            raise ConfigurationError(f"width must be >= 1, got {self.width}")
+        for name in ("depth", "width", "epochs", "batch_size"):
+            _check_int(name, getattr(self, name), 1)
         if self.loss not in _LOSSES:
             raise ConfigurationError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.step_size <= 0:
-            raise ConfigurationError(f"step_size must be positive, got {self.step_size}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ConfigurationError(
-                f"validation_fraction must lie in [0, 0.5], got {self.validation_fraction}"
-            )
-        if self.clamp_bound is not None and self.clamp_bound <= 0:
-            raise ConfigurationError(f"clamp_bound must be positive, got {self.clamp_bound}")
+        _check_real("step_size", self.step_size, "(0, inf)")
+        _check_int("seed", self.seed, 0)
+        _check_real("validation_fraction", self.validation_fraction, "[0, 0.5]")
+        if self.clamp_bound is not None:
+            _check_real("clamp_bound", self.clamp_bound, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -118,8 +107,7 @@ def _frozen(arrays) -> tuple[np.ndarray, ...]:
 
 def mlp_init(config: MLPConfig, input_dim: int) -> MLPModel:
     """He-initialized network: weights ~ N(0, 2 / fan_in), biases zero."""
-    if input_dim < 1:
-        raise ConfigurationError(f"input_dim must be >= 1, got {input_dim}")
+    _check_int("input_dim", input_dim, 1)
     rng = np.random.default_rng(config.seed)
     weights, biases = [], []
     fan_in = input_dim
@@ -156,26 +144,32 @@ def _check_vector(a, n: int, name: str, binary: bool = False) -> np.ndarray:
     return a
 
 
-def _check_fields(config) -> None:
-    """Check a config's int and float fields against their annotations.
+def _check_int(name: str, value, lo=None, hi=None) -> None:
+    """Reject a bool, a non-integer, and a value below lo or above hi (hi needs lo)."""
+    if (type(value) is bool or not isinstance(value, (int, np.integer))
+            or (lo is not None and value < lo) or (hi is not None and value > hi)):
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
 
-    An int field takes an integer and a float field a finite number; neither
-    takes a bool.  None passes where the annotation is ``... | None``, and
-    fields of other types are left to the class.  Annotations are read as
-    the strings written (the modules postpone their evaluation).
-    """
-    for f in fields(config):
-        base, _, rest = f.type.partition(" | ")
-        value = getattr(config, f.name)
-        if base not in ("int", "float") or (value is None and rest == "None"):
-            continue
-        real = base == "float"
-        kinds = (int, np.integer, float, np.floating) if real else (int, np.integer)
-        if type(value) is bool or not isinstance(value, kinds):
-            raise ConfigurationError(
-                f"{f.name} must be {'a number' if real else 'an integer'}, got {value!r}")
-        if real and not np.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+
+def _check_real(name: str, value, interval: str | None = None) -> None:
+    """Reject a bool, a non-number, a non-finite value (an int too large for a
+    float too), and a value outside ``interval``, written as in mathematics:
+    "(0, 1)", "[0, inf)"."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(v):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    if interval is not None:
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not ((lo < v if interval[0] == "(" else lo <= v)
+                and (v < hi if interval[-1] == ")" else v <= hi)):
+            raise ConfigurationError(f"{name} must lie in {interval}, got {value}")
 
 
 def _expit(x):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .nnet import _check_vector, _check_x
+from .nnet import _check_int, _check_real, _check_vector, _check_x
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
@@ -97,16 +97,6 @@ class DteData:
         return DteData(self.s1[idx], self.t1[idx], self.s2[idx], self.t2[idx], self.y[idx], m)
 
 
-def _check_seed(seed) -> None:
-    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def _check_clip(c: float) -> None:
-    if not (0.0 < c < 0.5):
-        raise ConfigurationError(f"propensity_clip must lie in (0, 0.5), got {c}")
-
-
 def _clip(raw, c: float) -> np.ndarray:
     return np.clip(np.asarray(raw, dtype=np.float64), c, 1.0 - c)
 
@@ -121,7 +111,7 @@ class CateNuisance:
     propensity_clip: float = PROPENSITY_CLIP
 
     def __post_init__(self):
-        _check_clip(self.propensity_clip)
+        _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
 
     def clipped_pi(self, s: np.ndarray) -> np.ndarray:
         return _clip(self.pi(s), self.propensity_clip)
@@ -143,7 +133,7 @@ class DteNuisance:
     propensity_clip: float = PROPENSITY_CLIP
 
     def __post_init__(self):
-        _check_clip(self.propensity_clip)
+        _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
 
     def clipped_pi(self, s1: np.ndarray) -> np.ndarray:
         return _clip(self.pi(s1), self.propensity_clip)
@@ -173,9 +163,8 @@ class FoldPlan:
 
 def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle followed by round-robin assignment."""
-    if not (isinstance(n_folds, (int, np.integer)) and n_folds >= 2):  # bools are ints below 2
-        raise ConfigurationError(f"n_folds must be an integer >= 2, got {n_folds!r}")
-    _check_seed(seed)
+    _check_int("n_folds", n_folds, 2)
+    _check_int("seed", seed, 0)
     if n_total < n_folds:
         raise ConfigurationError(f"need at least n_folds={n_folds} rows, got {n_total}")
     perm = np.random.default_rng(seed).permutation(n_total)

@@ -29,8 +29,8 @@ from .estimators import (
     estimate_cate,
     estimate_dte,
 )
-from .nnet import _check_fields, _expit
-from .scores import CateData, CateNuisance, DteData, _check_seed, delta_decomposition
+from .nnet import _check_int, _check_real, _expit
+from .scores import CateData, CateNuisance, DteData, delta_decomposition
 
 CATE_KINDS = ("cate_linear", "cate_sparse_smooth", "cate_rough_outcome")
 DTE_KINDS = ("dte_linear", "dte_sparse_smooth", "cde_binary")
@@ -68,19 +68,16 @@ class DgpConfig:
     def __post_init__(self):
         if self.kind not in CATE_KINDS + DTE_KINDS:
             raise ConfigurationError(f"unknown DGP kind {self.kind!r}")
-        _check_fields(self)
-        if self.coef_seed < 0:
-            raise ConfigurationError(f"coef_seed must be >= 0, got {self.coef_seed}")
-        dims = (self.d,) if self.kind in CATE_KINDS else (self.d1, self.d2)
-        if min(dims) < 1:
-            raise ConfigurationError("dimensions must be positive")
-        if not 1 <= self.q <= dims[0]:  # the active coordinates lie in s (or s1)
-            first = "d" if self.kind in CATE_KINDS else "d1"
-            raise ConfigurationError(f"q must lie in [1, {first}], got {self.q}")
-        if self.noise_sd < 0:
-            raise ConfigurationError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if abs(self.propensity_offset) > 1.0:
-            raise ConfigurationError("propensity_offset must lie in [-1, 1]")
+        dims = ("d",) if self.kind in CATE_KINDS else ("d1", "d2")
+        for name in ("d", "d1", "d2", "q"):  # a kind's own dimensions must be positive
+            _check_int(name, getattr(self, name), 1 if name in dims else None)
+        _check_int("coef_seed", self.coef_seed, 0)
+        if not 1 <= self.q <= getattr(self, dims[0]):  # the active coordinates lie in s (or s1)
+            raise ConfigurationError(f"q must lie in [1, {dims[0]}], got {self.q}")
+        _check_real("noise_sd", self.noise_sd, "[0, inf)")
+        _check_real("propensity_offset", self.propensity_offset, "[-1, 1]")
+        _check_real("effect_scale", self.effect_scale)
+        _check_real("baseline_scale", self.baseline_scale)
 
 
 @dataclass(frozen=True)
@@ -179,14 +176,6 @@ def _propensity(index_fn):
     return lambda s, _f=index_fn: np.clip(_expit(_f(s)), 0.1, 0.9)
 
 
-def _check_draw(n, seed) -> None:
-    """Reject a row count numpy cannot index and a bad seed before any draw."""
-    _check_seed(seed)
-    top = np.iinfo(np.intp).max
-    if type(n) is bool or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
-        raise ConfigurationError(f"n must be an integer in [0, {top}], got {n!r}")
-
-
 # -------------------------------------------------------------- CATE kinds
 
 
@@ -200,7 +189,8 @@ def gen_cate(config: DgpConfig, n: int, seed: int):
     """
     if config.kind not in CATE_KINDS:
         raise ConfigurationError(f"{config.kind!r} is not a single-stage kind")
-    _check_draw(n, seed)
+    _check_int("n", n, 0, np.iinfo(np.intp).max)  # the most rows numpy can index
+    _check_int("seed", seed, 0)
     crng = np.random.default_rng([config.coef_seed, 11])
     q, d = config.q, config.d
     es, bs = config.effect_scale, config.baseline_scale
@@ -251,7 +241,8 @@ def gen_dte(config: DgpConfig, n: int, seed: int):
     """
     if config.kind not in DTE_KINDS:
         raise ConfigurationError(f"{config.kind!r} is not a two-stage kind")
-    _check_draw(n, seed)
+    _check_int("n", n, 0, np.iinfo(np.intp).max)  # the most rows numpy can index
+    _check_int("seed", seed, 0)
     crng = np.random.default_rng([config.coef_seed, 13])
     q, d1, d2 = config.q, config.d1, config.d2
     es, bs = config.effect_scale, config.baseline_scale
@@ -350,8 +341,7 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
     kinds the always-treated path mean; the mediator kind the (t, m) path
     given by ``target`` (default (1, 1)).
     """
-    if n_mc < 10_000:
-        raise ConfigurationError(f"n_mc must be at least 10000, got {n_mc}")
+    _check_int("n_mc", n_mc, 10_000)
     key = (1, 1) if target is None else tuple(np.ravel(target))
     if config.kind in DTE_KINDS and key not in _PATHS:
         raise ConfigurationError(f"target must be one of {_PATHS}, got {target!r}")
@@ -384,11 +374,9 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
     the perturbation, so its root mean square shrinks fourfold when the
     scale halves.
     """
-    if n < 2:
-        raise ConfigurationError(f"n must be at least 2, got {n}")
+    _check_int("n", n, 2)
+    _check_real("perturbation_scale", perturbation_scale)
     c = float(perturbation_scale)
-    if not np.isfinite(c):
-        raise ConfigurationError(f"perturbation_scale must be finite, got {c}")
     data, truth = gen_cate(config, n, seed)
     prng = np.random.default_rng([config.coef_seed, 17])
     bump_pi = _draw_cosine(prng, config.q, (1.0, 1.0))
@@ -474,8 +462,8 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     per-replication estimates so other levels can be recomputed without
     re-fitting.
     """
-    if reps < 100:
-        raise ConfigurationError(f"reps must be at least 100, got {reps}")
+    _check_int("reps", reps, 100)
+    _check_int("seed", seed, 0)
     tasks = [(config, learner_family, n, alpha, n_folds, _derive_seed(seed, r))
              for r in range(reps)]
     rows = parallel_map(_coverage_rep, tasks)
@@ -515,9 +503,11 @@ def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
 
     Returns the result keys both MSE studies share and the table itself.
     """
-    if reps < 1:
-        raise ConfigurationError(f"reps must be at least 1, got {reps}")
-    n_grid = [int(v) for v in n_grid]
+    _check_int("reps", reps, 1)
+    _check_int("seed", seed, 0)
+    for i, v in enumerate(n_grid):
+        _check_int(f"n_grid[{i}]", v, 1)
+    n_grid = [int(v) for v in n_grid]  # plain ints for the report
     if len(n_grid) < min_points or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError(
             f"n_grid must be strictly increasing with >= {min_points} points")

@@ -418,6 +418,8 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
     (["diagnose", "orthogonality", "--scale", "inf", "--n", "1000"], None),
     (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"noise_sd": True}}),
     (["simulate", "--dgp", "dte_linear", "--n", "100000000000000000000000"], None),
+    (["diagnose", "orthogonality", "--n", "1000"], {"scale": 10**400}),
+    (["simulate", "--dgp", "dte_linear"], {"dgp_fields": {"noise_sd": 10**400}}),
 ])
 def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, doc):
     monkeypatch.chdir(tmp_path)
@@ -429,6 +431,26 @@ def test_bad_setting_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, 
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+
+@pytest.mark.parametrize("argv,text,start", [
+    (["diagnose", "orthogonality", "--n", "1000"], '{"scale": 1' + "0" * 400 + "}",
+     "error: perturbation_scale must be finite, got an integer too large for a float\n"),
+    (["simulate", "--dgp", "dte_linear", "--out", "x.csv"],
+     '{"dgp_fields": {"noise_sd": 1' + "0" * 400 + "}}",
+     "error: noise_sd must be finite, got an integer too large for a float\n"),
+    # Past Python's digit limit for parsing an int (4300), where it has one.
+    (["diagnose", "orthogonality", "--n", "1000"], '{"scale": 1' + "0" * 5000 + "}",
+     "error: "),
+], ids=["scale", "noise_sd", "digits"])
+def test_config_integer_too_large_exits_2_naming_the_fault(tmp_path, monkeypatch, capsys,
+                                                           argv, text, start):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(text)
+    assert run_cli(*argv, "--config", "cfg.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
 
 
 def test_simulate_with_n_too_large_to_allocate_exits_2_with_one_line(tmp_path):

@@ -41,9 +41,10 @@ from drnets.estimators import (
     report_to_dict,
     report_to_json,
 )
+from drnets.linmod import lasso_fit, select_lambda
 from drnets.nnet import MLPConfig, mlp_fit, mlp_predict
-from drnets.scores import CateData, DteData, make_folds
-from drnets.simlab import DgpConfig, gen_dte
+from drnets.scores import CateData, CateNuisance, DteData, make_folds
+from drnets.simlab import DgpConfig, coverage_study, gen_dte, oracle_theta, orthogonality_study
 
 
 def const_fn(value):
@@ -398,14 +399,14 @@ def test_tiny_nested_stratum_is_a_stratum_error_naming_the_fold():
 
 
 @pytest.mark.parametrize("cls,kwargs,message", [
-    (MLPConfig, {"depth": True}, "depth must be an integer, got True"),
-    (MLPConfig, {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
-    (MLPConfig, {"width": 2.5}, "width must be an integer, got 2.5"),
-    (MLPConfig, {"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+    (MLPConfig, {"depth": True}, "depth must be an integer >= 1, got True"),
+    (MLPConfig, {"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
+    (MLPConfig, {"width": 2.5}, "width must be an integer >= 1, got 2.5"),
+    (MLPConfig, {"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5"),
     (MLPConfig, {"step_size": "0.1"}, "step_size must be a number, got '0.1'"),
     (MLPConfig, {"clamp_bound": np.inf}, "clamp_bound must be finite, got inf"),
-    (MLPConfig, {"seed": -1}, "seed must be >= 0, got -1"),
-    (LassoSpec, {"grid_size": 2.5}, "grid_size must be an integer, got 2.5"),
+    (MLPConfig, {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    (LassoSpec, {"grid_size": 2.5}, "grid_size must be an integer >= 2, got 2.5"),
     (LassoSpec, {"lam": "0.1"}, "lam must be a number, got '0.1'"),
     (ConstantSpec, {"value": float("nan")}, "value must be finite, got nan"),
     (ConstantSpec, {"value": "1"}, "value must be a number, got '1'"),
@@ -435,6 +436,86 @@ def test_non_finite_scores_fail_naming_the_first_bad_fold(estimand):
         run = lambda: estimate_dte(data, learners, SMALL_FINAL)
     with pytest.raises(EstimationError, match="fold 3: scores are not finite"):
         run()
+
+
+def _nan_fn(s):
+    return np.full(s.shape[0], np.nan)
+
+
+@pytest.mark.parametrize("path,message", [
+    ("dte_nested_mu", "fold 0 mu: regression half 1 mu: pseudo-outcomes are not finite"),
+    ("mu_dr", "regression half 1 mu: pseudo-outcomes are not finite"),
+    ("dte_mlp_mu", "fold 0 mu: pseudo-outcomes are not finite"),
+    ("dte_lasso_mu", "fold 0 mu: pseudo-outcomes are not finite"),
+    ("cate", "half 1 final_stage: pseudo-outcomes are not finite"),
+])
+def test_non_finite_pseudo_outcomes_fail_naming_the_half_and_role(path, message):
+    """A NaN nuisance makes the pseudo-outcomes of the first half or fold
+    non-finite: an EstimationError naming where, never an input or stratum
+    error."""
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 200, 4)
+    half = FixedSpec(const_fn(0.5))
+    learners = LearnerSpec(pi=half, rho=half, nu=FixedSpec(_nan_fn))
+    runs = {
+        "dte_nested_mu": lambda: estimate_dte(data, learners, SMALL_FINAL),
+        "mu_dr": lambda: estimate_mu_dr(data, learners, SMALL_FINAL),
+        "dte_mlp_mu": lambda: estimate_dte(data, replace(learners, mu=SMALL_FINAL), SMALL_FINAL),
+        "dte_lasso_mu": lambda: estimate_dte(data, replace(learners, mu=LassoSpec(grid_size=4)),
+                                             SMALL_FINAL),
+        "cate": lambda: estimate_cate(CateData(data.s1, data.t1, data.y),
+                                      LearnerSpec(pi=half, mu=FixedSpec(_nan_fn)), SMALL_FINAL),
+    }
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$") as info:
+        runs[path]()
+    assert type(info.value) is EstimationError
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a model was fit before the settings were checked")
+
+
+@pytest.mark.parametrize("target,message", [
+    ((1.5, 1), "exposure level must be an integer in [0, 1], got 1.5"),
+    ((True, 1), "exposure level must be an integer in [0, 1], got True"),
+    (("1", 1), "exposure level must be an integer in [0, 1], got '1'"),
+    ((2, 1), "exposure level must be an integer in [0, 1], got 2"),
+    ((1, 1.5), "mediator level must be an integer, got 1.5"),
+    ((1, 1, 0), "target must be a pair (t, m), got (1, 1, 0)"),
+    (1, "target must be a pair (t, m), got 1"),
+])
+def test_cde_target_is_checked_before_any_fit(monkeypatch, target, message):
+    monkeypatch.setattr(estimators, "_fit_learner", _no_fit)
+    monkeypatch.setattr(estimators, "mlp_fit", _no_fit)
+    d, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
+    lasso = LassoSpec(grid_size=4)
+    learners = LearnerSpec(pi=lasso, rho=lasso, nu=lasso)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        estimate_cde(d, target, learners, SMALL_FINAL, n_folds=2)
+
+
+_LASSO_PAIR = LearnerSpec(pi=LassoSpec(grid_size=4), mu=LassoSpec(grid_size=4))
+
+
+@pytest.mark.parametrize("name,run", [
+    ("alpha", lambda d: estimate_ate(CateData(d.s1, d.t1, d.y), _LASSO_PAIR, alpha="0.05")),
+    ("propensity_clip", lambda d: estimate_ate(CateData(d.s1, d.t1, d.y), _LASSO_PAIR,
+                                               propensity_clip=None)),
+    ("propensity_clip", lambda d: CateNuisance(const_fn(0.5), const_fn(0.0), const_fn(0.0),
+                                               propensity_clip="x")),
+    ("grid_size", lambda d: select_lambda(d.s1, d.y, grid_size="4")),
+    ("lam", lambda d: lasso_fit(d.s1, d.y, lam="0.1")),
+    ("n_mc", lambda d: oracle_theta(DgpConfig(kind="cate_linear"), "20000", 0)),
+    ("reps", lambda d: coverage_study(DgpConfig(kind="dte_linear"), reps="100")),
+    ("n", lambda d: orthogonality_study(DgpConfig(kind="cate_sparse_smooth"), 0.3, "100", 0)),
+], ids=["alpha", "propensity_clip", "nuisance_clip", "grid_size", "lam", "n_mc", "reps", "n"])
+def test_api_arguments_of_the_wrong_type_are_named_before_any_fit(monkeypatch, name, run):
+    """A string or None where a number belongs is a ConfigurationError that
+    names the setting, not a bare TypeError from deep inside a fit."""
+    monkeypatch.setattr(estimators, "_fit_learner", _no_fit)
+    monkeypatch.setattr(estimators, "mlp_fit", _no_fit)
+    d, _ = gen_dte(DgpConfig(kind="dte_linear"), 80, 2)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be "):
+        run(d)
 
 
 def test_default_helpers():

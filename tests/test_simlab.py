@@ -32,7 +32,7 @@ def test_config_validation():
         DgpConfig(kind="cate_linear", noise_sd=-0.1)
     with pytest.raises(ConfigurationError, match="offset"):
         DgpConfig(kind="cate_linear", propensity_offset=1.5)
-    with pytest.raises(ConfigurationError, match="dimensions"):
+    with pytest.raises(ConfigurationError, match="d2 must be an integer >= 1, got 0"):
         DgpConfig(kind="dte_linear", d2=0)
 
 
@@ -287,7 +287,7 @@ def test_oracle_theta_rejects_target_outside_the_four_paths(target):
 
 def test_studies_reject_degenerate_sizes():
     config = DgpConfig(kind="cate_sparse_smooth")
-    with pytest.raises(ConfigurationError, match="n must be at least 2"):
+    with pytest.raises(ConfigurationError, match="n must be an integer >= 2, got 1"):
         orthogonality_study(config, 0.3, 1, 0)
     with pytest.raises(ConfigurationError, match="reps"):
         rate_slope_study(config, [400, 800, 1600], reps=0, seed=0)

@@ -15,7 +15,9 @@ not depend on the machine's CPU count.  Every output file and the exit code
 CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26
 and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
-at p=6, and a dte estimate with MLP nuisances.  API runs: ``estimate_dte``
+at p=6, a dte estimate with MLP nuisances, and three hostile settings that
+must exit 2 with one line: a string ``alpha`` in ``--config``, ``--seed -1``
+and an orthogonality ``scale`` of 10**400.  API runs: ``estimate_dte``
 with the nested MLP stage-one regression, ``estimate_cate`` with MLP
 nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
 ``coverage_study`` at n=400 and an oracle one on cate_rough_outcome, direct
@@ -96,6 +98,15 @@ def cli_runs(out: Path) -> None:
     _cli(out, "dte_p6_mlp_estimate", "estimate", "--estimand", "dte",
          "--data", "dte_linear_p6.csv", "--seed", "5", "--config", "mlp.json",
          "--out", "dte_p6_mlp_report.json")
+    # Hostile settings: each run's exit code and one-line error are recorded.
+    (out / "alpha_string.json").write_text(json.dumps({"alpha": "0.05"}))
+    _cli(out, "hostile_alpha_string", "estimate", "--estimand", "ate",
+         "--data", "cate_linear_p6.csv", "--config", "alpha_string.json")
+    _cli(out, "hostile_negative_seed", "simulate", "--dgp", "dte_linear", "--seed", "-1",
+         "--out", "never.csv")
+    (out / "huge_scale.json").write_text(json.dumps({"scale": 10**400}))
+    _cli(out, "hostile_huge_scale", "diagnose", "orthogonality", "--n", "1000",
+         "--config", "huge_scale.json")
 
 
 def api_runs(out: Path) -> None:
