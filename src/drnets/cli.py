@@ -19,6 +19,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from ._checks import REALS, _check_choice, _check_int, _check_real
 from .errors import ConfigurationError, EstimationError, InputError
 from .estimators import (
     default_final_config,
@@ -29,7 +30,7 @@ from .estimators import (
     estimate_dte,
     report_to_dict,
 )
-from .nnet import _check_int, mlp_to_dict
+from .nnet import mlp_to_dict
 from .scores import CateData, DteData
 from .simlab import (
     CATE_KINDS,
@@ -205,15 +206,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag
     if args.command == "diagnose":
-        if values.get("study") not in STUDIES:
-            raise ConfigurationError(
-                f"unknown study {values.get('study')!r}; choose from {', '.join(STUDIES)}")
+        _check_choice("study", values.get("study"), STUDIES)
         values = {**_STUDY_DEFAULTS[values["study"]], **values}
     run = RunConfig(**values)
 
     _check_int("seed", run.seed, 0)
-    if run.command == "estimate" and run.estimand not in ESTIMANDS:
-        raise ConfigurationError(f"estimate requires --estimand from {', '.join(ESTIMANDS)}")
+    _check_real("alpha", run.alpha, "(0, 1)")  # every float setting reaches the output JSON
+    _check_real("perturbation_scale", run.scale, REALS)
+    if run.command == "estimate":
+        _check_choice("estimand", run.estimand, ESTIMANDS)
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
         if getattr(run, key) is None:
             raise ConfigurationError(f"{run.command} requires --{key}")

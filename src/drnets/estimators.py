@@ -3,10 +3,9 @@
 Nuisances are fit per training set with role-specific learners (network,
 L1-penalized linear model, fitted constant, or an injected fixed function)
 and always through weighted losses: stratum restrictions enter as indicator
-sample weights, and each fit drops its zero-weight rows itself
-(``nnet._fit_rows``).  Final-stage regressions (treatment effects, stage-one
-outcome regressions) are always networks fit on two swapped halves whose
-predictions are averaged.
+sample weights, which each fit drops where zero.  Final-stage regressions
+(treatment effects, stage-one outcome regressions) are always networks fit
+on two swapped halves whose predictions are averaged.
 
 There is one two-stage pipeline, ``estimate_dte``.  The controlled direct
 effect runs through it on relabelled data: 1{T=t} takes the place of t1 and
@@ -22,6 +21,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ._checks import _check_choice, _check_finite, _check_int, _check_real, _check_weights
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -31,8 +31,7 @@ from .errors import (
     StratumError,
 )
 from .linmod import lasso_fit, logistic_lasso_fit, select_lambda
-from .nnet import (MLPConfig, MLPModel, _check_int, _check_real, _check_weights, _expit,
-                   mlp_fit, mlp_predict)
+from .nnet import MLPConfig, MLPModel, _expit, mlp_fit, mlp_predict
 from .scores import (
     CateData,
     CateNuisance,
@@ -186,17 +185,11 @@ class EstimateReport:
     learner_configs: dict = field(default_factory=dict)
 
 
-def _check_settings(alpha, propensity_clip):
+def _check_settings(seed, propensity_clip, alpha=0.05):
     """Reject bad run settings before any nuisance is fit; make_folds checks K."""
     _check_real("alpha", alpha, "(0, 1)")
     _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
-
-
-def _check_finite(values, what):
-    """values, if all are finite; ``what`` names their fold or half and role."""
-    if not np.isfinite(values).all():
-        raise EstimationError(f"{what} are not finite")
-    return values
+    _check_int("seed", seed, 0)
 
 
 def _make_report(estimand, scores_by_fold, theta, alpha, seed, learner_configs):
@@ -285,7 +278,7 @@ def estimate_ate(
     propensity_clip: float = PROPENSITY_CLIP,
 ) -> EstimateReport:
     """Cross-fitted mean of the bias-corrected outcome contrast."""
-    _check_settings(alpha, propensity_clip)
+    _check_settings(seed, propensity_clip, alpha)
     plan = make_folds(data.n, n_folds, seed)
     mu_cfg = _require(learners.mu, "mu")
     scores_by_fold = []
@@ -344,8 +337,7 @@ def estimate_cate(
     two effect networks are averaged.  If a half lacks a treatment arm the
     split is redrawn once with seed+1 before failing.
     """
-    _check_int("seed", seed, 0)
-    _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
+    _check_settings(seed, propensity_clip)
     mu_cfg = _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
         idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
@@ -407,8 +399,7 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
-    _check_int("seed", seed, 0)
-    _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
+    _check_settings(seed, propensity_clip)
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
     idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
@@ -455,7 +446,7 @@ def estimate_dte(
     stage-two corrected outcomes with weights t1 (no nested split), so a
     FixedSpec injects its known function.
     """
-    _check_settings(alpha, propensity_clip)
+    _check_settings(seed, propensity_clip, alpha)
     plan = make_folds(data.n, n_folds, seed)
     rho_cfg = _require(learners.rho, "rho")
     nu_cfg = _require(learners.nu, "nu")
@@ -520,7 +511,7 @@ def estimate_cde(
     if not isinstance(target, (tuple, list)) or len(target) != 2:
         raise ConfigurationError(f"target must be a pair (t, m), got {target!r}")
     _check_int("exposure level", target[0], 0, 1)
-    _check_int("mediator level", target[1])
+    _check_int("mediator level", target[1], -2**53, 2**53)  # exact in float64
     t_level, m_level = int(target[0]), int(target[1])  # plain ints for the report
     relabelled = _relabel_cde(data, (t_level, m_level))
     if not np.any(relabelled.t2):
@@ -551,7 +542,6 @@ def default_final_config(n: int, seed: int = 0) -> MLPConfig:
 
 def default_learner_spec(family: str = "lasso", n: int = 1000, seed: int = 0) -> LearnerSpec:
     """Uniform nuisance family across roles; 'mlp' uses sample-sized networks."""
-    if family not in ("lasso", "mlp"):
-        raise ConfigurationError(f"unknown learner family {family!r}")
+    _check_choice("learner family", family, ("lasso", "mlp"))
     cfg = LassoSpec() if family == "lasso" else default_final_config(n, seed)
     return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)

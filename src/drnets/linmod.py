@@ -19,10 +19,6 @@ proximal Newton: each outer step minimizes the iteratively reweighted
 quadratic model with that same coordinate descent, finish included, then
 backtracks on the true objective.  Every returned solution passes a
 subgradient stationarity check at tolerance 1e-6.
-
-Every fit and select_lambda take their rows through ``nnet._fit_rows``:
-zero-weight rows are dropped on entry with row order kept, so they change no
-bit of any result, and logistic 0/1 labels are checked on the rows left.
 """
 
 from __future__ import annotations
@@ -32,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, InputError, SeparationError
-from .nnet import _check_int, _check_real, _check_x, _expit, _fit_rows
+from ._checks import _check_choice, _check_int, _check_real, _check_x, _fit_rows
+from .errors import ConvergenceError, InputError, SeparationError
+from .nnet import _expit
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
@@ -63,7 +60,7 @@ class LinearModel:
 
 
 def _check_inputs(x, y, lam, sample_weight, binary=False):
-    """The fit's rows (nnet._fit_rows) with weights normalized to sum 1."""
+    """The fit's rows (_fit_rows) with weights normalized to sum 1."""
     _check_real("lam", lam, "[0, inf)")
     x, y, w = _fit_rows(x, y, sample_weight, binary)
     return x, y, w / np.add.reduce(w)
@@ -286,13 +283,10 @@ def select_lambda(x, y, link="identity", grid_size=10, seed=0, sample_weight=Non
     down to lambda_max * 1e-3, or to lambda_max * 1e-2 when the training
     split has fewer rows than x has columns (glmnet's lambda.min.ratio):
     there the small penalties fit noise and their Gram blocks are singular.
-    Fits along the path are warm-started.  Rows enter through
-    nnet._fit_rows: zero-weight rows are dropped with row order kept and
-    logistic 0/1 labels are checked on the rest, so the holdout is drawn over
-    the positive-weight rows, of which at least 5 are needed.
+    Fits along the path are warm-started.  The holdout is drawn over the
+    positive-weight rows, of which at least 5 are needed.
     """
-    if link not in _LINKS:
-        raise ConfigurationError(f"link must be one of {_LINKS}, got {link!r}")
+    _check_choice("link", link, _LINKS)
     _check_int("grid_size", grid_size, 2)
     _check_int("seed", seed, 0)
     x, y, w = _check_inputs(x, y, 0.0, sample_weight, binary=link == "logistic")

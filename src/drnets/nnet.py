@@ -10,12 +10,7 @@ weight-normalized empirical risk
 with ``loss`` either the square loss ``(f - y)**2`` or the logistic loss
 ``-y*f + log(1 + exp(f))`` (``f`` is then a logit and ``y`` a 0/1 label).
 The clamp participates in training: its subgradient is 1 strictly inside the
-interval and 0 at or beyond the boundary.
-
-Every fit, here and in ``linmod``, and ``mlp_loss_grad`` take their rows
-through ``_fit_rows``: zero-weight rows are dropped on entry with row order
-kept, so they change nothing whatever their values, and 0/1 labels are
-checked on the rows left.
+interval and 0 at or beyond the boundary.  Rows follow ``_checks``' contract.
 
 The training step is written for few numpy calls per minibatch.  Its fast
 paths (no clamp when it binds nowhere in the batch, no weight product when
@@ -26,17 +21,12 @@ computation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    EmptySubgroupError,
-    InputError,
-)
+from ._checks import _check_choice, _check_int, _check_real, _check_x, _fit_rows
+from .errors import DivergenceError
 
 _LOSSES = ("square", "logistic")
 
@@ -63,8 +53,7 @@ class MLPConfig:
     def __post_init__(self) -> None:
         for name in ("depth", "width", "epochs", "batch_size"):
             _check_int(name, getattr(self, name), 1)
-        if self.loss not in _LOSSES:
-            raise ConfigurationError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
+        _check_choice("loss", self.loss, _LOSSES)
         _check_real("step_size", self.step_size, "(0, inf)")
         _check_int("seed", self.seed, 0)
         _check_real("validation_fraction", self.validation_fraction, "[0, 0.5]")
@@ -118,58 +107,6 @@ def mlp_init(config: MLPConfig, input_dim: int) -> MLPModel:
     weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, fan_in)))
     biases.append(np.zeros(1))
     return MLPModel(config, input_dim, _frozen(weights), _frozen(biases))
-
-
-def _check_x(x: np.ndarray, input_dim: int | None = None, name: str = "x") -> np.ndarray:
-    """x as a finite 2-D float array, with ``input_dim`` columns if given."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"{name} must be 2-D (n, p), got shape {x.shape}")
-    if input_dim is not None and x.shape[1] != input_dim:
-        raise InputError(f"{name} has {x.shape[1]} columns, model expects {input_dim}")
-    if not np.isfinite(x).all():
-        raise InputError(f"{name} contains non-finite values")
-    return x
-
-
-def _check_vector(a, n: int, name: str, binary: bool = False) -> np.ndarray:
-    """a as a finite float vector of length n, coded 0/1 if ``binary``."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (n,):
-        raise InputError(f"{name} must have shape ({n},), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InputError(f"{name} contains non-finite values")
-    if binary and not ((a == 0) | (a == 1)).all():
-        raise InputError(f"{name} must be coded 0/1")
-    return a
-
-
-def _check_int(name: str, value, lo=None, hi=None) -> None:
-    """Reject a bool, a non-integer, and a value below lo or above hi (hi needs lo)."""
-    if (type(value) is bool or not isinstance(value, (int, np.integer))
-            or (lo is not None and value < lo) or (hi is not None and value > hi)):
-        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_real(name: str, value, interval: str | None = None) -> None:
-    """Reject a bool, a non-number, a non-finite value (an int too large for a
-    float too), and a value outside ``interval``, written as in mathematics:
-    "(0, 1)", "[0, inf)"."""
-    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ConfigurationError(
-            f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(v):
-        raise ConfigurationError(f"{name} must be finite, got {value}")
-    if interval is not None:
-        lo, hi = (float(end) for end in interval[1:-1].split(","))
-        if not ((lo < v if interval[0] == "(" else lo <= v)
-                and (v < hi if interval[-1] == ")" else v <= hi)):
-            raise ConfigurationError(f"{name} must lie in {interval}, got {value}")
 
 
 def _expit(x):
@@ -270,9 +207,7 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     """Loss and parameter gradient of the weight-normalized empirical risk.
 
     Returns ``(loss, grad_weights, grad_biases)`` with gradient entries shaped
-    like ``model.weights`` / ``model.biases``.  The rows go through the same
-    contract as mlp_fit's (_fit_rows): zero-weight rows change nothing, and a
-    logistic model's labels must be 0/1.
+    like ``model.weights`` / ``model.biases``.
     """
     x, y, w = _fit_rows(_check_x(x, model.input_dim), y, sample_weight,
                         binary=model.config.loss == "logistic")
@@ -282,53 +217,19 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     return _loss_value(*params, x, y, w, w.sum()), grad_w, grad_b
 
 
-def _check_weights(sample_weight, n) -> np.ndarray:
-    """Sample weights as a float array (ones when None), checked to be finite,
-    non-negative and not all zero."""
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (n,):
-        raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise InputError("sample weights must be finite and non-negative")
-    if not (w > 0).any():
-        raise EmptySubgroupError("all sample weights are zero")
-    return w
-
-
-def _fit_rows(x, y, sample_weight, binary: bool = False):
-    """Checked x, y and weights with the zero-weight rows dropped, row order
-    kept (no copy when every weight is positive); if ``binary``, the labels
-    left are checked to be 0/1.  The one row contract of mlp_fit and, through
-    linmod._check_inputs, of every linmod fit and select_lambda."""
-    x = _check_x(x)
-    y = _check_vector(y, x.shape[0], "y")
-    w = _check_weights(sample_weight, x.shape[0])
-    if not w.all():
-        keep = np.flatnonzero(w)
-        x, y, w = x[keep], y[keep], w[keep]
-    if binary:
-        _check_vector(y, y.size, "y", binary=True)
-    return x, y, w
-
-
 def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None) -> MLPModel:
     """Fit by mini-batch gradient descent with a fixed step size.
 
-    Zero-weight rows are discarded up front (_fit_rows), so they cannot affect
-    batch composition.  After each epoch the full training loss is recorded
-    (a non-finite value raises DivergenceError naming the epoch) and, when a
-    validation fraction is held out, the parameters with the best validation
-    loss are returned (ties resolve to the earliest epoch).
+    After each epoch the full training loss is recorded (a non-finite value
+    raises DivergenceError naming the epoch) and, when a validation fraction
+    is held out, the parameters with the best validation loss are returned
+    (ties resolve to the earliest epoch).
 
     All weights and biases are views into one flat buffer ``theta`` and their
     gradients views into a second buffer ``grad`` of the same layout, so one
     update moves every parameter and one copy checkpoints them.  Each epoch
     gathers the training rows once in permutation order; its batches are then
-    contiguous slices.  A step skips work that is an exact identity: the
-    clamp and its subgradient when every raw output of the batch lies strictly
-    inside the bound, and the weight product and sum when every weight is 1
-    (the 0/1 strata of the estimators, once the zeros are dropped).  The
-    results are the same bits as the full computation.
+    contiguous slices, and each step takes the exact fast paths described at the top.
     """
     x, y, w = _fit_rows(x, y, sample_weight, binary=config.loss == "logistic")
 

@@ -16,21 +16,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._checks import MAX_REAL, _check_int, _check_real, _check_vector, _covariates
 from .errors import ConfigurationError, InputError
-from .nnet import _check_int, _check_real, _check_vector, _check_x
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
 PROPENSITY_CLIP = 0.01  # the default clip of every nuisance bundle and estimator
-
-
-def _covariates(s, name) -> np.ndarray:
-    s = _check_x(s, name=name)
-    if s.shape[1] < 1:
-        raise InputError(f"{name} must have at least one column, got shape {s.shape}")
-    if np.any(np.abs(s) > 1.0 + 1e-9):
-        raise InputError(f"{name} has entries outside the covariate support [-1, 1]")
-    return s
 
 
 @dataclass(frozen=True)
@@ -46,7 +37,7 @@ class CateData:
         n = s.shape[0]
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", _check_vector(self.t, n, "t", binary=True))
-        object.__setattr__(self, "y", _check_vector(self.y, n, "y"))
+        object.__setattr__(self, "y", _check_vector(self.y, n, "y", bound=MAX_REAL))
 
     @property
     def n(self) -> int:
@@ -76,7 +67,7 @@ class DteData:
         if self.s2.shape[0] != n:
             raise InputError("s1 and s2 must have the same number of rows")
         object.__setattr__(self, "t2", _check_vector(self.t2, n, "t2", binary=True))
-        object.__setattr__(self, "y", _check_vector(self.y, n, "y"))
+        object.__setattr__(self, "y", _check_vector(self.y, n, "y", bound=MAX_REAL))
         if self.m is not None:
             m = _check_vector(self.m, n, "m")
             if not np.all(m == np.round(m)):

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import MAX_SIZE, REALS, _check_choice, _check_int, _check_real
 from ._parallel import parallel_map
 from .errors import ConfigurationError
 from .estimators import (
@@ -29,7 +30,7 @@ from .estimators import (
     estimate_cate,
     estimate_dte,
 )
-from .nnet import _check_int, _check_real, _expit
+from .nnet import _expit
 from .scores import CateData, CateNuisance, DteData, delta_decomposition
 
 CATE_KINDS = ("cate_linear", "cate_sparse_smooth", "cate_rough_outcome")
@@ -66,18 +67,17 @@ class DgpConfig:
     baseline_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in CATE_KINDS + DTE_KINDS:
-            raise ConfigurationError(f"unknown DGP kind {self.kind!r}")
+        _check_choice("kind", self.kind, CATE_KINDS + DTE_KINDS)
         dims = ("d",) if self.kind in CATE_KINDS else ("d1", "d2")
-        for name in ("d", "d1", "d2", "q"):  # a kind's own dimensions must be positive
-            _check_int(name, getattr(self, name), 1 if name in dims else None)
+        for name in ("d", "d1", "d2", "q"):  # a kind's own dimensions lie in [1, MAX_SIZE]
+            _check_int(name, getattr(self, name), *([1, MAX_SIZE] if name in dims else []))
         _check_int("coef_seed", self.coef_seed, 0)
         if not 1 <= self.q <= getattr(self, dims[0]):  # the active coordinates lie in s (or s1)
             raise ConfigurationError(f"q must lie in [1, {dims[0]}], got {self.q}")
-        _check_real("noise_sd", self.noise_sd, "[0, inf)")
+        _check_real("noise_sd", self.noise_sd, "[0, 1e100]")
         _check_real("propensity_offset", self.propensity_offset, "[-1, 1]")
-        _check_real("effect_scale", self.effect_scale)
-        _check_real("baseline_scale", self.baseline_scale)
+        _check_real("effect_scale", self.effect_scale, REALS)
+        _check_real("baseline_scale", self.baseline_scale, REALS)
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,8 @@ def gen_cate(config: DgpConfig, n: int, seed: int):
     pi0, and both potential outcomes share one noise draw so y equals the
     realized branch bit for bit.
     """
-    if config.kind not in CATE_KINDS:
-        raise ConfigurationError(f"{config.kind!r} is not a single-stage kind")
-    _check_int("n", n, 0, np.iinfo(np.intp).max)  # the most rows numpy can index
+    _check_choice("single-stage kind", config.kind, CATE_KINDS)
+    _check_int("n", n, 0, MAX_SIZE // config.d)  # s holds n * d entries
     _check_int("seed", seed, 0)
     crng = np.random.default_rng([config.coef_seed, 11])
     q, d = config.q, config.d
@@ -239,9 +238,8 @@ def gen_dte(config: DgpConfig, n: int, seed: int):
     outcomes share another.  For the mediator kind the second treatment
     column holds the mediator.
     """
-    if config.kind not in DTE_KINDS:
-        raise ConfigurationError(f"{config.kind!r} is not a two-stage kind")
-    _check_int("n", n, 0, np.iinfo(np.intp).max)  # the most rows numpy can index
+    _check_choice("two-stage kind", config.kind, DTE_KINDS)
+    _check_int("n", n, 0, MAX_SIZE // (config.d1 + config.d2 + 4))  # sbar2, the 4 paths
     _check_int("seed", seed, 0)
     crng = np.random.default_rng([config.coef_seed, 13])
     q, d1, d2 = config.q, config.d1, config.d2
@@ -326,9 +324,7 @@ def gen_dte(config: DgpConfig, n: int, seed: int):
 
 def generate(config: DgpConfig, n: int, seed: int):
     """Kind-dispatching generator."""
-    if config.kind in CATE_KINDS:
-        return gen_cate(config, n, seed)
-    return gen_dte(config, n, seed)
+    return (gen_cate if config.kind in CATE_KINDS else gen_dte)(config, n, seed)
 
 
 # ------------------------------------------------------------------ oracle
@@ -342,9 +338,12 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
     given by ``target`` (default (1, 1)).
     """
     _check_int("n_mc", n_mc, 10_000)
-    key = (1, 1) if target is None else tuple(np.ravel(target))
-    if config.kind in DTE_KINDS and key not in _PATHS:
-        raise ConfigurationError(f"target must be one of {_PATHS}, got {target!r}")
+    key = (1, 1) if target is None else target
+    if config.kind in DTE_KINDS:
+        key = tuple(key) if isinstance(key, (tuple, list, np.ndarray)) else key
+        _check_choice("target", key, _PATHS)
+        for level in key:  # True and 1.0 compare equal to 1
+            _check_int("target level", level, 0, 1)
     _, truth = generate(config, n_mc, seed)
     draws = truth.y1 - truth.y0 if config.kind in CATE_KINDS else truth.potential[key]
     return float(np.mean(draws)), float(np.std(draws) / np.sqrt(n_mc))
@@ -375,7 +374,7 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
     scale halves.
     """
     _check_int("n", n, 2)
-    _check_real("perturbation_scale", perturbation_scale)
+    _check_real("perturbation_scale", perturbation_scale, REALS)
     c = float(perturbation_scale)
     data, truth = gen_cate(config, n, seed)
     prng = np.random.default_rng([config.coef_seed, 17])
@@ -425,14 +424,13 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 
 
 def _study_learners(family: str, truth) -> LearnerSpec:
+    _check_choice("learner family", family, ("lasso", "mlp", "oracle"))
     if family == "lasso":
         return default_learner_spec("lasso")
-    if family == "mlp":
-        net = default_final_config(800)
-        return LearnerSpec(pi=LassoSpec(), mu=net, rho=net, nu=net)
     if family == "oracle":
         return oracle_learner_spec(truth)
-    raise ConfigurationError(f"unknown learner family {family!r}")
+    net = default_final_config(800)
+    return LearnerSpec(pi=LassoSpec(), mu=net, rho=net, nu=net)
 
 
 def _coverage_rep(args):
@@ -532,16 +530,10 @@ def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
 
 
 def _dr_learners(misspec: str, truth) -> LearnerSpec:
-    consistent_mu = default_final_config(2000)
-    consistent_pi = LassoSpec()
+    _check_choice("misspec", misspec, ("mu_wrong", "pi_wrong", "both_wrong"))
     wrong = ConstantSpec()
-    if misspec == "mu_wrong":
-        return LearnerSpec(pi=consistent_pi, mu=wrong)
-    if misspec == "pi_wrong":
-        return LearnerSpec(pi=wrong, mu=consistent_mu)
-    if misspec == "both_wrong":
-        return LearnerSpec(pi=wrong, mu=wrong)
-    raise ConfigurationError(f"unknown misspec {misspec!r}")
+    return LearnerSpec(pi=LassoSpec() if misspec == "mu_wrong" else wrong,
+                       mu=default_final_config(2000) if misspec == "pi_wrong" else wrong)
 
 
 def double_robustness_study(config: DgpConfig, misspec: str, n_grid,

@@ -5,6 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drnets import estimators
-from drnets.cli import _read_data, main, read_csv, write_csv
-from drnets.simlab import CATE_KINDS, DTE_KINDS
+from drnets.cli import RunConfig, _read_data, main, read_csv, write_csv
+from drnets.simlab import CATE_KINDS, DTE_KINDS, DgpConfig
 
 
 def run_cli(*argv):
@@ -487,3 +490,154 @@ def test_estimate_with_columns_near_stratum_size_exits_0(tmp_path):
         theta = json.loads(Path(src + ".json").read_text())["theta_true"]
         se = report["sigma_hat"] / np.sqrt(report["n"])
         assert abs(report["theta_hat"] - theta) <= 4.0 * se, n
+
+
+# ------------------------------------------------ the contract under hostile input
+
+
+def _with_treated_y(tmp_path, dgp, n, seed, value):
+    """A simulated CSV with y set to ``value`` in the first row whose treatment
+    columns all hold 1, so the cell enters every score; and that row's number."""
+    src = tmp_path / f"{dgp}.csv"
+    run_cli("simulate", "--dgp", dgp, "--n", str(n), "--seed", str(seed), "--out", str(src))
+    header, *rows = src.read_text().splitlines()
+    treated = [j for j, name in enumerate(header.split(",")) if name in ("t", "t1", "t2")]
+    i = next(i for i, row in enumerate(rows) if all(row.split(",")[j] == "1" for j in treated))
+    rows[i] = rows[i].rsplit(",", 1)[0] + "," + value
+    bad = tmp_path / f"{dgp}_y_{value}.csv"
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    return str(bad), i + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["m_level", "d", "scale", "ate_y", "cde_y"])
+def test_size_and_extreme_value_faults_exit_2_naming_the_setting(tmp_path, monkeypatch,
+                                                                capsys, case):
+    """Each run once ended in a traceback (exit 1) or behind numpy overflow
+    warnings; each now stops at its check with one line."""
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text('{"m_level": 1' + "0" * 400 + "}")
+    Path("d.json").write_text(json.dumps({"dgp_fields": {"d": 10**30}}))
+    ate_y, ate_row = _with_treated_y(tmp_path, "cate_linear", 400, 2, "1e308")
+    cde_y, cde_row = _with_treated_y(tmp_path, "cde_binary", 300, 1, "-1e308")
+    argv, start = {
+        "m_level": (["estimate", "--estimand", "cde", "--config", "m.json",
+                     "--data", "cde_binary.csv"],  # the file before its y was set
+                    f"error: mediator level must be an integer in [{-2**53}, {2**53}], got 1"),
+        "d": (["diagnose", "orthogonality", "--config", "d.json", "--n", "2000"],
+              f"error: d must be an integer in [1, {np.iinfo(np.intp).max // 8}], got {10**30}"),
+        "scale": (["diagnose", "orthogonality", "--scale", "1e308", "--n", "2000"],
+                  "error: perturbation_scale must lie in [-1e+100, 1e+100], got 1e+308"),
+        "ate_y": (["estimate", "--estimand", "ate", "--data", ate_y],
+                  f"error: y row {ate_row} lies outside [-1e+100, 1e+100]"),
+        "cde_y": (["estimate", "--estimand", "cde", "--data", cde_y],
+                  f"error: y row {cde_row} lies outside [-1e+100, 1e+100]"),
+    }[case]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
+
+
+def test_unused_float_settings_are_checked_before_they_reach_the_report(tmp_path, capsys):
+    """alpha and scale are embedded in every output, used or not."""
+    out = tmp_path / "o.json"
+    assert run_cli("diagnose", "orthogonality", "--alpha", "nan", "--n", "2000",
+                   "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: alpha must be finite, got nan\n"
+
+
+_BASE_N = 60
+_CELLS = ("nan", "inf", "1e400", "1e308", "-1e308", "1e100", "-1e100", "9.9e99", "1e20",
+          "1e-300", "1.5", "-1", "2", "0", "1", "", "abc")
+_VALUES = (0, -1, 10**30, 10**400, 1e308, True, None, "x", "mlp", [1], [])
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command") + tuple(
+    f"dgp_fields.{f.name}" for f in fields(DgpConfig) if f.name != "kind")
+_INTS = ("0", "-1", "1", "2", str(10**30), str(2**63 - 1))
+_FLOATS = ("0", "-1", "1", "1e308", "-1e308", "1e100", "nan", "inf", "1e-300")
+# The numeric flags each command takes; the property draws only values that
+# parse, since argparse's own usage errors lie outside the contract.
+_FLAGS = {"simulate": {"--n": _INTS, "--seed": _INTS},
+          "estimate": {"--K": _INTS, "--alpha": _FLOATS, "--seed": _INTS},
+          "diagnose": {"--n": _INTS, "--alpha": _FLOATS, "--scale": _FLOATS, "--seed": _INTS}}
+_DGPS = {"ate": "cate_linear", "cate": "cate_sparse_smooth", "dte": "dte_linear",
+         "cde": "cde_binary"}
+
+
+@pytest.fixture(scope="module")
+def base_csvs(tmp_path_factory):
+    """The directory of one small valid data file per estimand."""
+    root = tmp_path_factory.mktemp("base")
+    for estimand, dgp in _DGPS.items():
+        assert main(["simulate", "--dgp", dgp, "--n", str(_BASE_N), "--seed", "3",
+                     "--out", str(root / f"{estimand}.csv")]) == 0
+    return root
+
+
+def _hostile_file(data: bytes, cells, cut) -> bytes:
+    """data with each (row, column, text) cell replaced, then cut at byte ``cut``."""
+    header, *rows = data.decode().splitlines()
+    table = [r.split(",") for r in rows]
+    for r, c, text in cells:
+        row = table[r % len(table)]
+        row[c % len(row)] = text
+    body = "\n".join([header] + [",".join(r) for r in table]) + "\n"
+    return body.encode()[: None if cut is None else cut]
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(tuple(_FLAGS)), estimand=st.sampled_from(tuple(_DGPS)),
+       cells=st.lists(st.tuples(st.integers(0, _BASE_N - 1),
+                                st.just(-1) | st.integers(0, 12),  # y, or any column
+                                st.sampled_from(_CELLS)), max_size=3),
+       cut=st.none() | st.integers(0, 3000),
+       config=st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_VALUES),
+                              max_size=3),
+       flags=st.lists(st.tuples(st.sampled_from(("--n", "--K", "--alpha", "--scale", "--seed")),
+                                st.sampled_from(_INTS + _FLOATS)), max_size=2))
+@example(command="estimate", estimand="cde", cells=[], cut=None, config={"m_level": 10**400},
+         flags=[])
+@example(command="diagnose", estimand="ate", cells=[], cut=None,
+         config={"dgp_fields.d": 10**30}, flags=[])
+@example(command="diagnose", estimand="ate", cells=[], cut=None, config={},
+         flags=[("--scale", "1e308")])
+@example(command="estimate", estimand="ate", cells=[(0, -1, "1e308")], cut=None, config={},
+         flags=[])
+@example(command="estimate", estimand="cde", cells=[(0, -1, "-1e308")], cut=None, config={},
+         flags=[])
+def test_every_run_keeps_the_exit_contract(tmp_path, monkeypatch, capsys, base_csvs, command,
+                                           estimand, cells, cut, config, flags):
+    """Whatever the data file, config file or numeric flags: the exit code is
+    0, 2, 3, 4 or 5, a failure writes exactly one stderr line, no warning
+    escapes (warnings are errors here), and no JSON output holds NaN or
+    Infinity."""
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(run_dir)
+    doc = {key: value for key, value in config.items() if "." not in key}
+    nested = {key.split(".")[1]: value for key, value in config.items() if "." in key}
+    if nested:
+        doc["dgp_fields"] = nested
+    Path("cfg.json").write_text(json.dumps(doc))
+    argv = {"simulate": ["simulate", "--dgp", _DGPS[estimand], "--n", "40", "--out", "sim.csv"],
+            "estimate": ["estimate", "--estimand", estimand, "--data", "data.csv", "--K", "2",
+                         "--out", "report.json"],
+            "diagnose": ["diagnose", "orthogonality", "--n", "2000", "--out", "study.json"],
+            }[command] + ["--config", "cfg.json"]
+    for flag, value in flags:
+        if value in _FLAGS[command].get(flag, ()):
+            argv.append(f"{flag}={value}")  # "=" keeps "-1e308" a value, not an option
+    base = (base_csvs / f"{estimand}.csv").read_bytes()
+    Path("data.csv").write_bytes(_hostile_file(base, cells, cut))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5) and out == "", (argv, doc, code, err)
+    assert (err == "") if code == 0 else (err.count("\n") == 1 and err.startswith("error: ")), \
+        (argv, doc, code, err)
+    for path in Path().glob("*.json"):
+        if path.name != "cfg.json":
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, (argv, doc, path.name)

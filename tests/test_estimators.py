@@ -479,9 +479,10 @@ def _no_fit(*args, **kwargs):
     ((True, 1), "exposure level must be an integer in [0, 1], got True"),
     (("1", 1), "exposure level must be an integer in [0, 1], got '1'"),
     ((2, 1), "exposure level must be an integer in [0, 1], got 2"),
-    ((1, 1.5), "mediator level must be an integer, got 1.5"),
+    ((1, 1.5), f"mediator level must be an integer in [{-2**53}, {2**53}], got 1.5"),
     ((1, 1, 0), "target must be a pair (t, m), got (1, 1, 0)"),
     (1, "target must be a pair (t, m), got 1"),
+    ((1, 10**400), f"mediator level must be an integer in [{-2**53}, {2**53}], got {10**400}"),
 ])
 def test_cde_target_is_checked_before_any_fit(monkeypatch, target, message):
     monkeypatch.setattr(estimators, "_fit_learner", _no_fit)

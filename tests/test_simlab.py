@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from drnets import simlab
 from drnets.errors import ConfigurationError
 from drnets.simlab import (
     CATE_KINDS,
@@ -21,6 +22,7 @@ from drnets.simlab import (
 )
 
 ALL_KINDS = CATE_KINDS + DTE_KINDS
+MAX = np.iinfo(np.intp).max // 8  # the most float64 entries one array can hold
 
 
 def test_config_validation():
@@ -32,8 +34,11 @@ def test_config_validation():
         DgpConfig(kind="cate_linear", noise_sd=-0.1)
     with pytest.raises(ConfigurationError, match="offset"):
         DgpConfig(kind="cate_linear", propensity_offset=1.5)
-    with pytest.raises(ConfigurationError, match="d2 must be an integer >= 1, got 0"):
+    with pytest.raises(ConfigurationError, match=rf"d2 must be an integer in \[1, {MAX}\], got 0"):
         DgpConfig(kind="dte_linear", d2=0)
+    for kind, name in (("cate_linear", "d"), ("dte_linear", "d1"), ("dte_linear", "d2")):
+        with pytest.raises(ConfigurationError, match=rf"{name} must be an integer in \[1, {MAX}"):
+            DgpConfig(kind=kind, **{name: MAX + 1})  # more entries than one array can hold
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -279,9 +284,13 @@ def test_generators_reject_negative_n_and_seed(gen, kind, n, seed, message):
         gen(DgpConfig(kind=kind), n, seed)
 
 
-@pytest.mark.parametrize("target", [(2, 2), (1, 2), (1, 1, 0), "11"])
-def test_oracle_theta_rejects_target_outside_the_four_paths(target):
-    with pytest.raises(ConfigurationError, match="target must be one of"):
+@pytest.mark.parametrize("target", [(2, 2), (1, 2), (1, 1, 0), "11", (True, 1), (1.0, 1.0)])
+def test_oracle_theta_rejects_target_outside_the_four_paths(monkeypatch, target):
+    monkeypatch.setattr(simlab, "generate", None)  # the target is checked before any draw
+    # True and 1.0 compare equal to 1, so those pairs fail on their entries.
+    on_a_path = tuple(target) in ((0, 0), (0, 1), (1, 0), (1, 1))
+    message = "target level must be an integer" if on_a_path else "target must be one of"
+    with pytest.raises(ConfigurationError, match=message):
         oracle_theta(DgpConfig(kind="dte_linear"), 10_000, 0, target=target)
 
 

@@ -15,9 +15,11 @@ not depend on the machine's CPU count.  Every output file and the exit code
 CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26
 and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
-at p=6, a dte estimate with MLP nuisances, and three hostile settings that
-must exit 2 with one line: a string ``alpha`` in ``--config``, ``--seed -1``
-and an orthogonality ``scale`` of 10**400.  API runs: ``estimate_dte``
+at p=6, a dte estimate with MLP nuisances, and eight hostile runs that must
+exit 2 with one line: a string ``alpha`` in ``--config``, ``--seed -1``, an
+orthogonality ``scale`` of 10**400, an ``m_level`` of 10**400, a ``d`` of
+10**30, an orthogonality ``--scale 1e308``, and an ate and a cde file with
+one treated row's y set to 1e308 and -1e308.  API runs: ``estimate_dte``
 with the nested MLP stage-one regression, ``estimate_cate`` with MLP
 nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
 ``coverage_study`` at n=400 and an oracle one on cate_rough_outcome, direct
@@ -83,6 +85,17 @@ def _api(out: Path, name: str, fn) -> None:
     (out / f"{name}.exit").write_text(code)
 
 
+def _set_treated_y(text: str, value: str) -> str:
+    """CSV text with y (the last column) set to value in the first row whose
+    treatment columns (t, or t1 and t2) all hold 1, so the cell enters every score."""
+    header, *rows = text.splitlines()
+    treated = [j for j, name in enumerate(header.split(",")) if name in ("t", "t1", "t2")]
+    i = next(i for i, row in enumerate(rows)
+             if all(row.split(",")[j] == "1" for j in treated))
+    rows[i] = rows[i].rsplit(",", 1)[0] + "," + value
+    return "\n".join([header, *rows]) + "\n"
+
+
 def cli_runs(out: Path) -> None:
     _cli(out, "help_drnets", "--help")
     for command in ("simulate", "estimate", "diagnose"):
@@ -107,6 +120,20 @@ def cli_runs(out: Path) -> None:
     (out / "huge_scale.json").write_text(json.dumps({"scale": 10**400}))
     _cli(out, "hostile_huge_scale", "diagnose", "orthogonality", "--n", "1000",
          "--config", "huge_scale.json")
+    (out / "huge_m_level.json").write_text(json.dumps({"m_level": 10**400}))
+    _cli(out, "hostile_huge_m_level", "estimate", "--estimand", "cde",
+         "--data", "cde_binary_p6.csv", "--config", "huge_m_level.json")
+    (out / "huge_d.json").write_text(json.dumps({"dgp_fields": {"d": 10**30}}))
+    _cli(out, "hostile_huge_d", "diagnose", "orthogonality", "--config", "huge_d.json")
+    _cli(out, "hostile_scale_1e308", "diagnose", "orthogonality", "--scale", "1e308",
+         "--n", "2000")
+    for estimand, kind, n, seed, value in (("ate", "cate_linear", 400, 2, "1e308"),
+                                           ("cde", "cde_binary", 300, 1, "-1e308")):
+        stem = f"hostile_{estimand}_y"
+        _cli(out, f"{stem}_simulate", "simulate", "--dgp", kind, "--n", str(n),
+             "--seed", str(seed), "--out", f"{stem}.csv")
+        (out / f"{stem}.csv").write_text(_set_treated_y((out / f"{stem}.csv").read_text(), value))
+        _cli(out, stem, "estimate", "--estimand", estimand, "--data", f"{stem}.csv")
 
 
 def api_runs(out: Path) -> None:
