@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -175,13 +176,22 @@ STUDIES = tuple(_STUDY_DEFAULTS)
 _CONFIG_TYPES = get_type_hints(RunConfig)
 
 
+def _finite_float(text: str) -> float:
+    """json's hook for float literals and for NaN and Infinity, which no setting
+    takes; a literal such as 1e400 overflows to infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """Merge explicit flags over config-file values over study defaults."""
     values: dict = {}
     if getattr(args, "config", None) is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                loaded = json.load(fh)
+                loaded = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
             except UnicodeDecodeError as exc:
                 raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc})")
             except (ValueError, RecursionError) as exc:  # or too many digits, or too deep
@@ -218,12 +228,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
         if getattr(run, key) is None:
             raise ConfigurationError(f"{run.command} requires --{key}")
+    _dgp_config(run)  # every output embeds dgp_fields
     return run
 
 
 def _dgp_config(run: RunConfig) -> DgpConfig:
+    kind = run.dgp
+    if kind is None and run.command == "estimate":  # fields of the data's family of processes
+        kind = (CATE_KINDS if run.estimand in ("ate", "cate") else DTE_KINDS)[0]
     try:
-        return DgpConfig(kind=run.dgp, **run.dgp_fields)
+        return DgpConfig(kind=kind, **run.dgp_fields)
     except TypeError as exc:
         raise ConfigurationError(f"bad dgp_fields: {exc}")
 

@@ -10,11 +10,14 @@ Each link has one solver, following glmnet (Friedman, Hastie & Tibshirani
 2010, J. Stat. Softw. 33(1)).  The identity link runs cyclic coordinate
 descent with covariance updates: x and y are centred, the weighted Gram
 matrix is built once, and each coordinate step costs O(p) instead of O(n).
-Once a sweep moves the coefficients without changing any sign, the descent
-has found the support, and the exact minimizer on it solves a linear system:
-the active block of the KKT conditions.  That solution is taken and the
-loop ends if it keeps the signs and passes the stationarity check on every
-coordinate; otherwise descent carries on.  The logistic link runs
+After every sweep that moves the coefficients, and on a warm start with a
+nonzero support before the first sweep, the exact minimizer on the current
+support is solved from a linear system: the active block of the KKT
+conditions.  That solution is taken and the loop ends if it keeps the signs
+and passes the stationarity check on every coordinate.  If it flips a sign,
+the iterate steps toward it up to the first sign change (the homotopy move
+of Osborne, Presnell & Turlach 2000, IMA J. Numer. Anal. 20(3)); either way
+descent then carries on.  The logistic link runs
 proximal Newton: each outer step minimizes the iteratively reweighted
 quadratic model with that same coordinate descent, finish included, then
 backtracks on the true objective.  Every returned solution passes a
@@ -80,7 +83,7 @@ def _kkt_check(grad, beta, lam, what):
         raise ConvergenceError(f"{what} stopped with KKT residual {worst:.3e} > {_KKT_TOL}")
 
 
-def _active_finish(gram, c, signs, lam):
+def _active_finish(gram, c, signs, lam, beta):
     """Exact lasso minimizer on a guessed support, or None if the guess fails.
 
     With support A and signs s_A, stationarity on A reads
@@ -88,22 +91,45 @@ def _active_finish(gram, c, signs, lam):
     the signs s_A, every inactive coordinate satisfies |c_j - G_jA b| <= lam / 2,
     and its KKT residual in the objective's scale is at most 0.1 * 1e-6.
     Returns (beta, g) with the half-gradient g = c - G @ beta.
+
+    When the solution flips a sign, the iterate beta (whose signs are s) is
+    moved in place toward it, stopping where the first flipping coordinate
+    reaches zero; that coordinate is set to exactly 0.0 (the homotopy step of
+    Osborne, Presnell & Turlach 2000).  The segment stays in the closed
+    orthant of s, where the objective is the convex quadratic that b
+    minimizes on A, so the objective does not rise.  On a numerically
+    singular block the solve does not give that minimizer, so the move is
+    made only if the objective's computed change along it is negative.  Any
+    other rejection leaves beta as it was.
     """
     act = signs.nonzero()[0]
+    block = gram[act][:, act]
     try:
-        b = np.linalg.solve(gram[act][:, act], c[act] - (lam / 2.0) * signs[act])
+        b = np.linalg.solve(block, c[act] - (lam / 2.0) * signs[act])
     except np.linalg.LinAlgError:  # singular active block
         return None
-    if not (np.sign(b) == signs[act]).all():
+    flips = (np.sign(b) != signs[act]).nonzero()[0]
+    if flips.size:
+        cur = beta[act]
+        t = cur[flips] / (cur[flips] - b[flips])  # in (0, 1]: where each flip reaches zero
+        first = int(t.argmin())
+        step = cur + t[first] * (b - cur)
+        step[flips[first]] = 0.0
+        step[np.sign(step) != signs[act]] = 0.0  # a tie that rounding carried past zero
+        d = step - cur
+        rise = (d @ (block @ d) - 2.0 * d @ (c[act] - gram[act] @ beta)
+                + lam * (np.add.reduce(np.abs(step)) - np.add.reduce(np.abs(cur))))
+        if rise < 0.0:
+            beta[act] = step
         return None
-    beta = np.zeros(c.shape)
-    beta[act] = b
-    g = c - gram @ beta
+    full = np.zeros(c.shape)
+    full[act] = b
+    g = c - gram @ full
     if (np.abs(g[signs == 0]) > lam / 2.0).any():
         return None
-    if not _kkt_residual(-2.0 * g, beta, lam) <= 0.1 * _KKT_TOL:
+    if not _kkt_residual(-2.0 * g, full, lam) <= 0.1 * _KKT_TOL:
         return None
-    return beta, g
+    return full, g
 
 
 def _gram_cd(x, y, w, lam, beta, max_sweeps):
@@ -117,15 +143,17 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
     g = c - G @ beta and each coordinate update costs O(p).  A sweep ends
     the loop when no coefficient moved by 1e-8 or more.
 
-    A sweep that moved some coefficient but left every sign (and so the
-    support) as it was also tries an exact finish (_active_finish): it
-    solves the active block's KKT system and, if that point passes the
-    checks, takes it as the result and ends the loop.  Otherwise the
-    descent iterate stands and the next sweep runs as usual; a rejected
-    sign pattern is not tried again, as it would give the same candidate.
+    Every sweep that moved some coefficient by 1e-8 or more then tries an
+    exact finish (_active_finish) on the signs the sweep left, and so does a
+    warm start with a nonzero support before the first sweep.  An accepted
+    finish is the result and ends the loop.  A finish that flips a sign
+    moves the iterate to the first sign change and descent carries on from
+    there.  The last pattern rejected without a move is not tried again, as
+    it would give the same candidate.
 
     Returns (b0, beta, trace) with one objective value per sweep; after a
-    finish, the last value is that of the finished point.
+    finish, the last value is that of the finished point (the only one when
+    the warm start finishes before any sweep).
     """
     xbar = w @ x
     ybar = float(w @ y)
@@ -137,31 +165,34 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps):
     diag = gram.diagonal().tolist()
     half = lam / 2.0
     trace = []
-    rejected = None  # the candidate depends on the signs alone: try each pattern once
-    g = c - gram @ beta
-    for _ in range(max_sweeps):
-        signs = np.sign(beta)
-        delta = 0.0
-        for j, gjj in enumerate(diag):
-            if gjj <= 0.0:
-                continue
-            old = float(beta[j])
-            z = float(g[j]) + gjj * old
-            new = math.copysign(max(abs(z) - half, 0.0), z) / gjj  # soft threshold
-            if new != old:
-                g -= gram[j] * (new - old)
-                beta[j] = new
-                delta = max(delta, abs(new - old))
+    rejected = None  # the candidate depends on the signs alone: see the docstring
+    delta = np.inf if beta.any() else 0.0  # the warm start's finish, before any sweep
+    for sweep in range(max_sweeps + 1):
+        if sweep:
+            delta = 0.0
+            for j, gjj in enumerate(diag):
+                if gjj <= 0.0:
+                    continue
+                old = float(beta[j])
+                z = float(g[j]) + gjj * old
+                new = math.copysign(max(abs(z) - half, 0.0), z) / gjj  # soft threshold
+                if new != old:
+                    g -= gram[j] * (new - old)
+                    beta[j] = new
+                    delta = max(delta, abs(new - old))
         finished = None
-        if (delta >= 1e-8 and (np.sign(beta) == signs).all()
-                and (rejected is None or not (signs == rejected).all())):
-            finished = _active_finish(gram, c, signs, lam)
-            rejected = signs
-        if finished is None:
+        signs = np.sign(beta)
+        if delta >= 1e-8 and (rejected is None or (signs != rejected).any()):
+            finished = _active_finish(gram, c, signs, lam, beta)
+            if finished is None and (np.sign(beta) == signs).all():  # rejected in place
+                rejected = signs
+        if finished is not None:
+            beta[:], g = finished
+        else:
             # Rebuilt each sweep to keep accumulated rounding out of the updates.
             g = c - gram @ beta
-        else:
-            beta[:], g = finished
+            if not sweep:
+                continue
         # sum w (yc - xc beta)**2 = syy - 2 c'beta + beta'G beta = syy - beta'(c + g)
         trace.append(syy - float(beta @ (c + g)) + lam * float(np.add.reduce(np.abs(beta))))
         if delta < 1e-8 or finished is not None:

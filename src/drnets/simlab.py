@@ -43,6 +43,7 @@ INDEX_BOUND_CATE = 2.0
 INDEX_BOUND_DTE = 1.0
 # The (first, second) treatment paths of a two-stage kind.
 _PATHS = ((0, 0), (0, 1), (1, 0), (1, 1))
+MAX_REPS = 100_000  # a study's replications: its task list is built before any work
 
 
 @dataclass(frozen=True)
@@ -460,7 +461,7 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     per-replication estimates so other levels can be recomputed without
     re-fitting.
     """
-    _check_int("reps", reps, 100)
+    _check_int("reps", reps, 100, MAX_REPS)
     _check_int("seed", seed, 0)
     tasks = [(config, learner_family, n, alpha, n_folds, _derive_seed(seed, r))
              for r in range(reps)]
@@ -501,7 +502,7 @@ def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
 
     Returns the result keys both MSE studies share and the table itself.
     """
-    _check_int("reps", reps, 1)
+    _check_int("reps", reps, 1, MAX_REPS)
     _check_int("seed", seed, 0)
     for i, v in enumerate(n_grid):
         _check_int(f"n_grid[{i}]", v, 1)

@@ -473,6 +473,25 @@ def test_simulate_with_n_too_large_to_allocate_exits_2_with_one_line(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("study", ["coverage", "rate_slope", "double_robustness"])
+def test_diagnose_with_reps_too_large_to_list_exits_2_with_one_line(tmp_path, study):
+    """A study builds its whole task list before any work, so reps is bounded
+    above; in a child capped at 1 GiB of address space, an unbounded list
+    would end in a MemoryError instead of the named bound."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from drnets.cli import main\n"
+            f"sys.exit(main(['diagnose', '{study}', '--reps', '{10**30}', '--out', 'x.json']))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(estimators.__file__).parents[1])}  # the drnets under test
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    low = 100 if study == "coverage" else 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: reps must be an integer in [{low}, 100000], got {10**30}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_estimate_with_columns_near_stratum_size_exits_0(tmp_path):
     """n=300 with p=50 at stage two leaves nu strata of about 50 training
     rows, so the lasso Gram matrices are singular; n=80 leaves about 16, so
@@ -548,10 +567,38 @@ def test_unused_float_settings_are_checked_before_they_reach_the_report(tmp_path
     assert capsys.readouterr().err == "error: alpha must be finite, got nan\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dgp_fields": {"noise_sd": NaN}}', "invalid config JSON: non-finite number NaN"),
+    ('{"alpha": -Infinity}', "invalid config JSON: non-finite number -Infinity"),
+    ('{"scale": 1e400}', "invalid config JSON: non-finite number 1e400"),
+    ('{"dgp_fields": {"noise_sd": -1}}', "noise_sd must lie in [0, 1e100], got -1"),
+    ('{"dgp_fields": {"d": 3, "q": 4}}', "q must lie in [1, d], got 4"),
+    ('{"dgp": "banana"}', "kind must be one of ('cate_linear', 'cate_sparse_smooth', "
+                          "'cate_rough_outcome', 'dte_linear', 'dte_sparse_smooth', "
+                          "'cde_binary'), got 'banana'"),
+    ('{"dgp_fields": {"colour": 1}}',
+     "bad dgp_fields: DgpConfig.__init__() got an unexpected keyword argument 'colour'"),
+])
+def test_estimate_checks_dgp_fields_and_non_finite_json(tmp_path, capsys, text, message):
+    """estimate draws nothing, but its report embeds the config: a NaN
+    noise_sd once exited 0 and wrote NaN into the report.  Non-finite JSON
+    numbers are refused at load, and dgp_fields are checked for the data's
+    family of processes."""
+    src, cfg, out = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "r.json"
+    assert run_cli("simulate", "--dgp", "cate_linear", "--n", "80", "--seed", "1",
+                   "--out", str(src)) == 0
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert run_cli("estimate", "--estimand", "ate", "--data", str(src), "--config", str(cfg),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 _BASE_N = 60
 _CELLS = ("nan", "inf", "1e400", "1e308", "-1e308", "1e100", "-1e100", "9.9e99", "1e20",
           "1e-300", "1.5", "-1", "2", "0", "1", "", "abc")
-_VALUES = (0, -1, 10**30, 10**400, 1e308, True, None, "x", "mlp", [1], [])
+_VALUES = (0, -1, 10**30, 10**400, 1e308, float("nan"), True, None, "x", "mlp", [1], [])
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command") + tuple(
     f"dgp_fields.{f.name}" for f in fields(DgpConfig) if f.name != "kind")
 _INTS = ("0", "-1", "1", "2", str(10**30), str(2**63 - 1))

@@ -523,6 +523,45 @@ def test_finish_ends_well_conditioned_fit_early():
     assert len(m.objective_trace) <= 4 < plain_sweeps
 
 
+def test_rejected_finish_steps_to_the_first_sign_change():
+    """The candidate on support {0, 1, 2, 3} flips coordinate 3, so the
+    finish moves the iterate along the segment toward the candidate and stops
+    where coordinate 3 reaches zero; on that segment the objective is the
+    convex quadratic the candidate minimizes, so it does not rise."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 6))
+    gram, c, lam = x.T @ x / 40, rng.normal(size=6), 0.2
+    beta = np.array([0.3, -0.2, 0.4, 0.1, 0.0, 0.0])
+    signs, start = np.sign(beta), beta.copy()
+    cand = np.linalg.solve(gram[:4, :4], c[:4] - (lam / 2.0) * signs[:4])
+    assert list(np.flatnonzero(np.sign(cand) != signs[:4])) == [3]
+
+    def objective(b):
+        return float(b @ gram @ b - 2.0 * c @ b + lam * np.abs(b).sum())
+
+    assert linmod._active_finish(gram, c, signs, lam, beta) is None
+    t = start[3] / (start[3] - cand[3])
+    assert list(beta[3:]) == [0.0, 0.0, 0.0]
+    assert_allclose(beta[:3], start[:3] + t * (cand[:3] - start[:3]), rtol=0, atol=1e-15)
+    assert objective(beta) <= objective(start)
+
+
+def test_near_square_identity_fit_certifies_within_sweep_budget():
+    """n=50 rows, p=50 columns and a dense truth at lam = lam_max * 1e-2: the
+    centred Gram matrix has rank 49.  Trying the finish only after sign-stable
+    sweeps, and leaving the iterate where it was on a rejection, took 2,226
+    sweeps here; stepping to the first sign change took 174."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1, 1, (50, 50))
+    y = x @ rng.normal(size=50) * 0.3 + rng.normal(size=50)
+    w = np.ones(50)
+    lam = 1e-2 * _lambda_max(x, y, w / 50, "identity")
+    m = lasso_fit(x, y, lam)  # certified: lasso_fit raises unless stationary
+    assert len(m.objective_trace) <= 500
+    grad, grad0 = identity_gradient(x, y, w, m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+
+
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_warm_start_matches_cold_start(link):
     rng = np.random.default_rng(23)

@@ -15,18 +15,21 @@ not depend on the machine's CPU count.  Every output file and the exit code
 CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26
 and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
-at p=6, a dte estimate with MLP nuisances, and eight hostile runs that must
-exit 2 with one line: a string ``alpha`` in ``--config``, ``--seed -1``, an
-orthogonality ``scale`` of 10**400, an ``m_level`` of 10**400, a ``d`` of
-10**30, an orthogonality ``--scale 1e308``, and an ate and a cde file with
-one treated row's y set to 1e308 and -1e308.  API runs: ``estimate_dte``
-with the nested MLP stage-one regression, ``estimate_cate`` with MLP
-nuisances, ``estimate_ate`` with a ConstantSpec mu, a 100-replication lasso
-``coverage_study`` at n=400 and an oracle one on cate_rough_outcome, direct
-``mlp_fit`` runs that reach the network step's slower branches (non-unit
-sample weights, and a clamp that binds in some training steps and not in
-others, under each loss), ``oracle_theta`` for every kind, and the
-orthogonality, rate-slope and three double-robustness studies at small sizes.
+at p=6, a dte estimate with MLP nuisances, ``simulate`` then ``estimate`` on
+dte_linear with d1=40, d2=10, q=2, noise_sd=1 at n=300 and n=80 (seed 3000),
+where the lasso strata have about as many rows as columns or fewer, and eight
+hostile runs that must exit 2 with one line: a string ``alpha`` in
+``--config``, ``--seed -1``, an orthogonality ``scale`` of 10**400, an
+``m_level`` of 10**400, a ``d`` of 10**30, an orthogonality ``--scale 1e308``,
+and an ate and a cde file with one treated row's y set to 1e308 and -1e308.
+API runs: ``estimate_dte`` with the nested MLP stage-one regression,
+``estimate_cate`` with MLP nuisances, ``estimate_ate`` with a ConstantSpec
+mu, a 100-replication lasso ``coverage_study`` at n=400 and an oracle one on
+cate_rough_outcome, direct ``mlp_fit`` runs that reach the network step's
+slower branches (non-unit sample weights, and a clamp that binds in some
+training steps and not in others, under each loss), ``oracle_theta`` for
+every kind, and the orthogonality, rate-slope and three double-robustness
+studies at small sizes.
 """
 
 from __future__ import annotations
@@ -107,6 +110,15 @@ def cli_runs(out: Path) -> None:
              "--config", f"{stem}_dgp.json", "--out", f"{stem}.csv")
         _cli(out, f"{stem}_estimate", "estimate", "--estimand", estimand,
              "--data", f"{stem}.csv", "--seed", "5", "--out", f"{stem}_report.json")
+    # Columns near the stratum size: about 50 nu training rows for p=50 at n=300, 16 at n=80.
+    (out / "near_stratum_dgp.json").write_text(json.dumps(
+        {"dgp_fields": {"d1": 40, "d2": 10, "q": 2, "noise_sd": 1.0}}))
+    for n in (300, 80):
+        stem = f"near_stratum_n{n}"
+        _cli(out, f"{stem}_simulate", "simulate", "--dgp", "dte_linear", "--n", str(n),
+             "--seed", "3000", "--config", "near_stratum_dgp.json", "--out", f"{stem}.csv")
+        _cli(out, f"{stem}_estimate", "estimate", "--estimand", "dte", "--data", f"{stem}.csv",
+             "--out", f"{stem}_report.json")
     (out / "mlp.json").write_text(json.dumps({"learner_family": "mlp"}))
     _cli(out, "dte_p6_mlp_estimate", "estimate", "--estimand", "dte",
          "--data", "dte_linear_p6.csv", "--seed", "5", "--config", "mlp.json",
