@@ -150,8 +150,9 @@ def _read_data(path: str, estimand: str):
     return (CateData if estimand in ("ate", "cate") else DteData)(**values)
 
 
-def _write_json(out: str | None, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write_json(out: str | None, run: RunConfig, doc: dict) -> None:
+    """Write doc with the resolved run configuration embedded under "config"."""
+    text = json.dumps({"config": asdict(run), **doc}, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -225,6 +226,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     _check_real("perturbation_scale", run.scale, REALS)
     if run.command == "estimate":
         _check_choice("estimand", run.estimand, ESTIMANDS)
+    if run.probe is not None and (run.command, run.estimand) != ("estimate", "cate"):
+        raise ConfigurationError("probe applies only to estimate --estimand cate")
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
         if getattr(run, key) is None:
             raise ConfigurationError(f"{run.command} requires --{key}")
@@ -255,12 +258,8 @@ def cmd_simulate(run: RunConfig) -> int:
         estimand, theta = ("dte" if data.m is None else "cde"), truth.theta
     columns, matrix = _table(data, estimand)
     write_csv(run.out, columns, matrix)
-    _write_json(run.out + ".json", {
-        "config": asdict(run),
-        "columns": columns,
-        "n": run.n,
-        "theta_true": float(theta),
-    })
+    _write_json(run.out + ".json", run,
+                {"columns": columns, "n": run.n, "theta_true": float(theta)})
     return 0
 
 
@@ -272,7 +271,6 @@ def cmd_estimate(run: RunConfig) -> int:
     if run.estimand == "cate":
         est = estimate_cate(data, learners, final, seed=run.seed)
         doc = {
-            "config": asdict(run),
             "provenance": est.provenance,
             "model_half1": mlp_to_dict(est.model_half1),
             "model_half2": mlp_to_dict(est.model_half2),
@@ -285,7 +283,7 @@ def cmd_estimate(run: RunConfig) -> int:
                                  f"the data has {data.s.shape[1]}")
             doc["probe"] = {"path": run.probe,
                             "predictions": est.predict(grid).tolist()}
-        _write_json(run.out, doc)
+        _write_json(run.out, run, doc)
         return 0
 
     if run.estimand == "ate":
@@ -298,8 +296,7 @@ def cmd_estimate(run: RunConfig) -> int:
         report = estimate_cde(data, (run.t_level, run.m_level), learners,
                               final, n_folds=run.K, alpha=run.alpha,
                               seed=run.seed)
-    _write_json(run.out, {"config": asdict(run),
-                          "report": report_to_dict(report)})
+    _write_json(run.out, run, {"report": report_to_dict(report)})
     return 0
 
 
@@ -326,8 +323,7 @@ def cmd_diagnose(run: RunConfig) -> int:
         per_n = result["both_wrong"]["per_n_mse"]
         passed = per_n[-1] >= 0.5 * per_n[0] and all(
             result[m]["share_decreasing"] >= 0.8 for m in ("mu_wrong", "pi_wrong"))
-    _write_json(run.out, {"config": asdict(run), "study": run.study,
-                          "result": result, "passed": passed})
+    _write_json(run.out, run, {"study": run.study, "result": result, "passed": passed})
     return 0 if passed else 5
 
 

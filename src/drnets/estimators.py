@@ -111,7 +111,9 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _describe(cfg) -> dict:
+def _describe(cfg) -> dict | None:
+    if cfg is None:  # the nested stage-one regression stands in for an unset mu
+        return None
     if isinstance(cfg, tuple):
         c1, c0 = _arm_configs(cfg)
         return {"treated": _describe(c1), "control": _describe(c0)}
@@ -119,6 +121,11 @@ def _describe(cfg) -> dict:
         if isinstance(cfg, spec):
             return {"family": family, **asdict(cfg)}
     return {"family": "fixed"}
+
+
+def _learner_record(learners, roles, **extras) -> dict:
+    """Each role's described config, then ``extras`` as given."""
+    return {**{role: _describe(getattr(learners, role)) for role in roles}, **extras}
 
 
 def _fit_learner(cfg, x, y, w, kind, seed, role):
@@ -280,7 +287,7 @@ def estimate_ate(
     """Cross-fitted mean of the bias-corrected outcome contrast."""
     _check_settings(seed, propensity_clip, alpha)
     plan = make_folds(data.n, n_folds, seed)
-    mu_cfg = _require(learners.mu, "mu")
+    _require(learners.mu, "mu")
     scores_by_fold = []
     for k in range(n_folds):
         train = data.subset(plan.complement_indices(k))
@@ -290,11 +297,7 @@ def estimate_ate(
         held = data.subset(plan.fold_indices(k))
         scores_by_fold.append(cate_pseudo_outcome(held, nuis))
     theta = float(np.mean(np.concatenate(scores_by_fold)))
-    configs = {
-        "pi": _describe(learners.pi),
-        "mu": _describe(mu_cfg),
-        "propensity_clip": propensity_clip,
-    }
+    configs = _learner_record(learners, ("pi", "mu"), propensity_clip=propensity_clip)
     return _make_report("ate", scores_by_fold, theta, alpha, seed, configs)
 
 
@@ -338,7 +341,7 @@ def estimate_cate(
     split is redrawn once with seed+1 before failing.
     """
     _check_settings(seed, propensity_clip)
-    mu_cfg = _require(learners.mu, "mu")
+    _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
         idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
         if all(data.t[h].min() < data.t[h].max() for h in (idx_a, idx_b)):
@@ -362,11 +365,8 @@ def estimate_cate(
         "half_sizes": [int(idx_a.size), int(idx_b.size)],
         "reshuffled": split_seed != seed,
         "propensity_clip": propensity_clip,
-        "learner_configs": {
-            "pi": _describe(learners.pi),
-            "mu": _describe(mu_cfg),
-            "final_stage": _describe(final_stage),
-        },
+        "learner_configs": _learner_record(learners, ("pi", "mu"),
+                                           final_stage=_describe(final_stage)),
     }
     return CateEstimate(model1, model2, provenance)
 
@@ -379,10 +379,8 @@ def _check_stage2_strata(d: DteData, label: str):
     if not np.any(on1):
         raise StratumError(f"{label}: t1=1 stratum is empty")
     t2_on1 = d.t2[on1]
-    if t2_on1.min() == t2_on1.max():
+    if t2_on1.min() == t2_on1.max():  # else both t2 values occur, so some t1=1 row has t2=1
         raise StratumError(f"{label}: t1=1 stratum lacks both t2 arms")
-    if not np.any(on1 & (d.t2 == 1)):
-        raise StratumError(f"{label}: (t1, t2)=(1, 1) stratum is empty")
 
 
 def estimate_mu_dr(
@@ -448,8 +446,8 @@ def estimate_dte(
     """
     _check_settings(seed, propensity_clip, alpha)
     plan = make_folds(data.n, n_folds, seed)
-    rho_cfg = _require(learners.rho, "rho")
-    nu_cfg = _require(learners.nu, "nu")
+    _require(learners.rho, "rho")
+    _require(learners.nu, "nu")
     scores_by_fold = []
     for k in range(n_folds):
         train = data.subset(plan.complement_indices(k))
@@ -476,14 +474,8 @@ def estimate_dte(
         held = data.subset(plan.fold_indices(k))
         scores_by_fold.append(dte_score(held, replace(stage2, pi=pi, mu=mu)))
     theta = float(np.mean([np.mean(s) for s in scores_by_fold]))
-    configs = {
-        "pi": _describe(learners.pi),
-        "rho": _describe(rho_cfg),
-        "nu": _describe(nu_cfg),
-        "mu": None if learners.mu is None else _describe(learners.mu),
-        "final_stage": _describe(final_stage),
-        "propensity_clip": propensity_clip,
-    }
+    configs = _learner_record(learners, ("pi", "rho", "nu", "mu"),
+                              final_stage=_describe(final_stage), propensity_clip=propensity_clip)
     return _make_report("dte", scores_by_fold, theta, alpha, seed, configs)
 
 
@@ -508,12 +500,8 @@ def estimate_cde(
     levels at the same mediator level difference to a controlled direct
     effect.
     """
-    if not isinstance(target, (tuple, list)) or len(target) != 2:
-        raise ConfigurationError(f"target must be a pair (t, m), got {target!r}")
-    _check_int("exposure level", target[0], 0, 1)
-    _check_int("mediator level", target[1], -2**53, 2**53)  # exact in float64
+    relabelled = _relabel_cde(data, target)
     t_level, m_level = int(target[0]), int(target[1])  # plain ints for the report
-    relabelled = _relabel_cde(data, (t_level, m_level))
     if not np.any(relabelled.t2):
         raise StratumError(f"mediator level m={m_level} never occurs in the data")
     report = estimate_dte(relabelled, learners, final_stage, n_folds=n_folds, alpha=alpha,

@@ -145,15 +145,12 @@ def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return _clamp(_forward(model.weights, model.biases, x)[1], model.config.clamp_bound)
 
 
-def _risk(loss, f, y, w, w_sum):
-    """Weight-normalized loss of the clamped outputs f."""
+def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
+    """Weight-normalized loss of the clamped outputs."""
+    raw = _forward(weights, biases, x)[1]
+    f = raw if _inside(raw, bound) else _clamp(raw, bound)
     per = (f - y) ** 2 if loss == "square" else np.logaddexp(0.0, f) - y * f
     return float(np.dot(w, per) / w_sum)
-
-
-def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
-    raw = _forward(weights, biases, x)[1]
-    return _risk(loss, raw if _inside(raw, bound) else _clamp(raw, bound), y, w, w_sum)
 
 
 def _loss_grad(loss, bound, weights, biases, x, y, w, grad_w, grad_b):

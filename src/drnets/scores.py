@@ -88,8 +88,22 @@ class DteData:
         return DteData(self.s1[idx], self.t1[idx], self.s2[idx], self.t2[idx], self.y[idx], m)
 
 
-def _clip(raw, c: float) -> np.ndarray:
-    return np.clip(np.asarray(raw, dtype=np.float64), c, 1.0 - c)
+def _predict(nuis, role: str, x: np.ndarray) -> np.ndarray:
+    """The ``role`` nuisance's predictions on x, one float per row; finiteness
+    is the estimators' check, made where they can name the fold."""
+    fn = getattr(nuis, role)
+    if fn is None:
+        raise ConfigurationError(f"the {role} role is not set")
+    values = np.asarray(fn(x), dtype=np.float64)
+    if values.shape != (x.shape[0],):
+        raise InputError(f"{role} predictions must have shape ({x.shape[0]},), "
+                         f"got {values.shape}")
+    return values
+
+
+def _clip(nuis, role: str, x: np.ndarray) -> np.ndarray:
+    c = nuis.propensity_clip
+    return np.clip(_predict(nuis, role, x), c, 1.0 - c)
 
 
 @dataclass(frozen=True)
@@ -105,7 +119,7 @@ class CateNuisance:
         _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
 
     def clipped_pi(self, s: np.ndarray) -> np.ndarray:
-        return _clip(self.pi(s), self.propensity_clip)
+        return _clip(self, "pi", s)
 
 
 @dataclass(frozen=True)
@@ -127,10 +141,10 @@ class DteNuisance:
         _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
 
     def clipped_pi(self, s1: np.ndarray) -> np.ndarray:
-        return _clip(self.pi(s1), self.propensity_clip)
+        return _clip(self, "pi", s1)
 
     def clipped_rho(self, sbar2: np.ndarray) -> np.ndarray:
-        return _clip(self.rho(sbar2), self.propensity_clip)
+        return _clip(self, "rho", sbar2)
 
 
 # ------------------------------------------------------------------ folds
@@ -154,6 +168,7 @@ class FoldPlan:
 
 def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
     """Seeded uniform shuffle followed by round-robin assignment."""
+    _check_int("n_total", n_total, 0)
     _check_int("n_folds", n_folds, 2)
     _check_int("seed", seed, 0)
     if n_total < n_folds:
@@ -171,8 +186,7 @@ def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
 def cate_pseudo_outcome(data: CateData, nuis: CateNuisance) -> np.ndarray:
     """Bias-corrected outcome contrast whose conditional mean is the CATE."""
     pi = nuis.clipped_pi(data.s)
-    mu1 = np.asarray(nuis.mu1(data.s), dtype=np.float64)
-    mu0 = np.asarray(nuis.mu0(data.s), dtype=np.float64)
+    mu1, mu0 = _predict(nuis, "mu1", data.s), _predict(nuis, "mu0", data.s)
     t, y = data.t, data.y
     return mu1 + t * (y - mu1) / pi - mu0 - (1.0 - t) * (y - mu0) / (1.0 - pi)
 
@@ -181,7 +195,7 @@ def dte_stage2_pseudo_outcome(data: DteData, nuis: DteNuisance) -> np.ndarray:
     """Second-stage correction: nu plus the inverse-weighted stage-2 residual."""
     sbar2 = data.sbar2
     rho = nuis.clipped_rho(sbar2)
-    nu = np.asarray(nuis.nu(sbar2), dtype=np.float64)
+    nu = _predict(nuis, "nu", sbar2)
     return nu + data.t2 * (data.y - nu) / rho
 
 
@@ -190,8 +204,7 @@ def dte_score(data: DteData, nuis: DteNuisance) -> np.ndarray:
     sbar2 = data.sbar2
     pi = nuis.clipped_pi(data.s1)
     rho = nuis.clipped_rho(sbar2)
-    nu = np.asarray(nuis.nu(sbar2), dtype=np.float64)
-    mu = np.asarray(nuis.mu(data.s1), dtype=np.float64)
+    nu, mu = _predict(nuis, "nu", sbar2), _predict(nuis, "mu", data.s1)
     t1, t2, y = data.t1, data.t2, data.y
     return mu + t1 * (nu - mu) / pi + t1 * t2 * (y - nu) / (pi * rho)
 
@@ -209,6 +222,10 @@ def cde_score(data: DteData, target: tuple[int, int], nuis: DteNuisance) -> np.n
 
 def _relabel_cde(data: DteData, target) -> DteData:
     """``data`` with t1 = 1{T=t} and t2 = 1{M=m} for target (t, m)."""
+    if not isinstance(target, (tuple, list)) or len(target) != 2:
+        raise ConfigurationError(f"target must be a pair (t, m), got {target!r}")
+    _check_int("exposure level", target[0], 0, 1)
+    _check_int("mediator level", target[1], -2**53, 2**53)  # exact in float64
     if data.m is None:
         raise InputError("the CDE requires data with a mediator column")
     t_level, m_level = target
@@ -231,10 +248,8 @@ def delta_decomposition(
     s, t, y = data.s, data.t, data.y
     pi_hat = nuis_hat.clipped_pi(s)
     pi_true = nuis_true.clipped_pi(s)
-    mu1_hat = np.asarray(nuis_hat.mu1(s), dtype=np.float64)
-    mu0_hat = np.asarray(nuis_hat.mu0(s), dtype=np.float64)
-    mu1_true = np.asarray(nuis_true.mu1(s), dtype=np.float64)
-    mu0_true = np.asarray(nuis_true.mu0(s), dtype=np.float64)
+    mu1_hat, mu0_hat = _predict(nuis_hat, "mu1", s), _predict(nuis_hat, "mu0", s)
+    mu1_true, mu0_true = _predict(nuis_true, "mu1", s), _predict(nuis_true, "mu0", s)
 
     e1 = mu1_hat - mu1_true
     e0 = mu0_hat - mu0_true

@@ -126,6 +126,23 @@ def test_estimate_cate_probe_predictions(tmp_path):
     assert "model_half1" in doc and "model_half2" in doc
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--estimand", "dte", "--data", "missing.csv", "--probe", "missing.csv"),
+    ("estimate", "--estimand", "ate", "--data", "missing.csv", "--config", "probe.json"),
+    ("simulate", "--dgp", "dte_linear", "--config", "probe.json"),
+], ids=["dte_flag", "ate_config", "simulate_config"])
+def test_probe_outside_cate_estimate_exits_2_before_any_data_is_read(tmp_path, monkeypatch,
+                                                                      capsys, argv):
+    """Only the CATE estimate reads a probe file; anywhere else the setting is
+    refused, not ignored and copied into the report's config."""
+    monkeypatch.chdir(tmp_path)
+    Path("probe.json").write_text(json.dumps({"probe": "missing.csv"}))
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", "report.json") == 2
+    assert capsys.readouterr().err == "error: probe applies only to estimate --estimand cate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.json"]
+
+
 def test_estimate_cde_runs_on_mediator_file(tmp_path):
     src = str(tmp_path / "m.csv")
     run_cli("simulate", "--dgp", "cde_binary", "--n", "300", "--seed", "5",

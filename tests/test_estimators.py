@@ -43,8 +43,24 @@ from drnets.estimators import (
 )
 from drnets.linmod import lasso_fit, select_lambda
 from drnets.nnet import MLPConfig, mlp_fit, mlp_predict
-from drnets.scores import CateData, CateNuisance, DteData, make_folds
-from drnets.simlab import DgpConfig, coverage_study, gen_dte, oracle_theta, orthogonality_study
+from drnets.scores import (
+    CateData,
+    CateNuisance,
+    DteData,
+    DteNuisance,
+    cde_score,
+    dte_score,
+    make_folds,
+)
+from drnets.simlab import (
+    DgpConfig,
+    coverage_study,
+    gen_cate,
+    gen_dte,
+    oracle_learner_spec,
+    oracle_theta,
+    orthogonality_study,
+)
 
 
 def const_fn(value):
@@ -485,6 +501,8 @@ def _no_fit(*args, **kwargs):
     ((1, 10**400), f"mediator level must be an integer in [{-2**53}, {2**53}], got {10**400}"),
 ])
 def test_cde_target_is_checked_before_any_fit(monkeypatch, target, message):
+    """The rule sits where the data is relabelled, so ``cde_score`` rejects a
+    target as ``estimate_cde`` does, before any nuisance is evaluated."""
     monkeypatch.setattr(estimators, "_fit_learner", _no_fit)
     monkeypatch.setattr(estimators, "mlp_fit", _no_fit)
     d, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
@@ -492,6 +510,9 @@ def test_cde_target_is_checked_before_any_fit(monkeypatch, target, message):
     learners = LearnerSpec(pi=lasso, rho=lasso, nu=lasso)
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         estimate_cde(d, target, learners, SMALL_FINAL, n_folds=2)
+    nuis = DteNuisance(pi=_no_fit, rho=_no_fit, nu=_no_fit, mu=_no_fit)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        cde_score(d, target, nuis)
 
 
 _LASSO_PAIR = LearnerSpec(pi=LassoSpec(grid_size=4), mu=LassoSpec(grid_size=4))
@@ -508,7 +529,11 @@ _LASSO_PAIR = LearnerSpec(pi=LassoSpec(grid_size=4), mu=LassoSpec(grid_size=4))
     ("n_mc", lambda d: oracle_theta(DgpConfig(kind="cate_linear"), "20000", 0)),
     ("reps", lambda d: coverage_study(DgpConfig(kind="dte_linear"), reps="100")),
     ("n", lambda d: orthogonality_study(DgpConfig(kind="cate_sparse_smooth"), 0.3, "100", 0)),
-], ids=["alpha", "propensity_clip", "nuisance_clip", "grid_size", "lam", "n_mc", "reps", "n"])
+    ("n_total", lambda d: make_folds(10.0, 2, 0)),
+    ("n_total", lambda d: make_folds("10", 2, 0)),
+    ("n_total", lambda d: make_folds(True, 2, 0)),
+], ids=["alpha", "propensity_clip", "nuisance_clip", "grid_size", "lam", "n_mc", "reps", "n",
+        "n_total_float", "n_total_string", "n_total_bool"])
 def test_api_arguments_of_the_wrong_type_are_named_before_any_fit(monkeypatch, name, run):
     """A string or None where a number belongs is a ConfigurationError that
     names the setting, not a bare TypeError from deep inside a fit."""
@@ -517,6 +542,39 @@ def test_api_arguments_of_the_wrong_type_are_named_before_any_fit(monkeypatch, n
     d, _ = gen_dte(DgpConfig(kind="dte_linear"), 80, 2)
     with pytest.raises(ConfigurationError, match=f"^{name} must be "):
         run(d)
+
+
+def _column(fn):
+    """fn with its predictions as an (n, 1) column."""
+    return lambda s: fn(s)[:, None]
+
+
+@pytest.mark.parametrize("path,error,message", [
+    ("ate_pi", InputError, "pi predictions must have shape (200,), got (200, 1)"),
+    ("dte_mu", InputError, "mu predictions must have shape (200,), got (200, 1)"),
+    ("dte_score_nu", InputError, "nu predictions must have shape (400,), got (400, 1)"),
+    ("dte_score_unset_mu", ConfigurationError, "the mu role is not set"),
+])
+def test_nuisance_predictions_hold_one_float_per_row(path, error, message):
+    """A prediction of shape (n, 1) would broadcast every score to n x n and
+    an unset role would be called as None; both are named errors."""
+    cate, cate_truth = gen_cate(DgpConfig(kind="cate_linear"), 400, 3)
+    dte, dte_truth = gen_dte(DgpConfig(kind="dte_linear"), 400, 3)
+    oracle = oracle_learner_spec(dte_truth)
+    runs = {
+        "ate_pi": lambda: estimate_ate(
+            cate, replace(oracle_learner_spec(cate_truth), pi=FixedSpec(_column(cate_truth.pi0))),
+            n_folds=2),
+        "dte_mu": lambda: estimate_dte(dte, replace(oracle, mu=FixedSpec(_column(dte_truth.mu0))),
+                                       SMALL_FINAL, n_folds=2),
+        "dte_score_nu": lambda: dte_score(dte, DteNuisance(
+            pi=dte_truth.pi0, rho=dte_truth.rho0, nu=_column(dte_truth.nu0),
+            mu=dte_truth.mu0)),
+        "dte_score_unset_mu": lambda: dte_score(dte, DteNuisance(
+            pi=dte_truth.pi0, rho=dte_truth.rho0, nu=dte_truth.nu0)),
+    }
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        runs[path]()
 
 
 def test_default_helpers():

@@ -17,19 +17,20 @@ CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
 at p=6, a dte estimate with MLP nuisances, ``simulate`` then ``estimate`` on
 dte_linear with d1=40, d2=10, q=2, noise_sd=1 at n=300 and n=80 (seed 3000),
-where the lasso strata have about as many rows as columns or fewer, and eight
+where the lasso strata have about as many rows as columns or fewer, and nine
 hostile runs that must exit 2 with one line: a string ``alpha`` in
 ``--config``, ``--seed -1``, an orthogonality ``scale`` of 10**400, an
 ``m_level`` of 10**400, a ``d`` of 10**30, an orthogonality ``--scale 1e308``,
-and an ate and a cde file with one treated row's y set to 1e308 and -1e308.
+an ate and a cde file with one treated row's y set to 1e308 and -1e308, and a
+dte estimate given ``--probe``, which only the cate estimate reads.
 API runs: ``estimate_dte`` with the nested MLP stage-one regression,
 ``estimate_cate`` with MLP nuisances, ``estimate_ate`` with a ConstantSpec
-mu, a 100-replication lasso ``coverage_study`` at n=400 and an oracle one on
-cate_rough_outcome, direct ``mlp_fit`` runs that reach the network step's
-slower branches (non-unit sample weights, and a clamp that binds in some
-training steps and not in others, under each loss), ``oracle_theta`` for
-every kind, and the orthogonality, rate-slope and three double-robustness
-studies at small sizes.
+mu and with an oracle pi that returns an (n, 1) column, a 100-replication
+lasso ``coverage_study`` at n=400 and an oracle one on cate_rough_outcome,
+direct ``mlp_fit`` runs that reach the network step's slower branches
+(non-unit sample weights, and a clamp that binds in some training steps and
+not in others, under each loss), ``oracle_theta`` for every kind, and the
+orthogonality, rate-slope and three double-robustness studies at small sizes.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def cli_runs(out: Path) -> None:
              "--seed", str(seed), "--out", f"{stem}.csv")
         (out / f"{stem}.csv").write_text(_set_treated_y((out / f"{stem}.csv").read_text(), value))
         _cli(out, stem, "estimate", "--estimand", estimand, "--data", f"{stem}.csv")
+    _cli(out, "hostile_probe_dte", "estimate", "--estimand", "dte",
+         "--data", "dte_linear_p6.csv", "--probe", "missing.csv")
 
 
 def api_runs(out: Path) -> None:
@@ -154,6 +157,7 @@ def api_runs(out: Path) -> None:
     from drnets import (
         ConstantSpec,
         DgpConfig,
+        FixedSpec,
         LassoSpec,
         LearnerSpec,
         MLPConfig,
@@ -167,6 +171,7 @@ def api_runs(out: Path) -> None:
         gen_cate,
         gen_dte,
         mlp_fit,
+        oracle_learner_spec,
         oracle_theta,
         orthogonality_study,
         rate_slope_study,
@@ -185,6 +190,13 @@ def api_runs(out: Path) -> None:
         data, _ = gen_cate(DgpConfig(kind="cate_linear"), N, 12)
         learners = LearnerSpec(pi=LassoSpec(), mu=ConstantSpec())
         return report_to_dict(estimate_ate(data, learners, seed=12))
+
+    def ate_column_pi():
+        """An oracle pi whose predictions come as an (n, 1) column."""
+        data, truth = gen_cate(DgpConfig(kind="cate_linear"), N, 3)
+        learners = replace(oracle_learner_spec(truth),
+                           pi=FixedSpec(lambda s: truth.pi0(s)[:, None]))
+        return report_to_dict(estimate_ate(data, learners, n_folds=2))
 
     def coverage():
         return coverage_study(DgpConfig(kind="dte_linear", noise_sd=1.0), "lasso",
@@ -223,6 +235,7 @@ def api_runs(out: Path) -> None:
     _api(out, "api_mlp_fit_clamped_logistic",
          lambda: fit("logistic", weighted=False, clamp_bound=2.0))
     _api(out, "api_ate_constant_mu", ate_constant_mu)
+    _api(out, "api_ate_column_pi", ate_column_pi)
     _api(out, "api_coverage_lasso", coverage)
     for kind in CATE_KINDS + DTE_KINDS:
         _api(out, f"api_oracle_theta_{kind}",
