@@ -36,6 +36,7 @@ from .scores import CateData, DteData
 from .simlab import (
     CATE_KINDS,
     DTE_KINDS,
+    MAX_REPS,
     DgpConfig,
     coverage_study,
     double_robustness_study,
@@ -221,9 +222,21 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         values = {**_STUDY_DEFAULTS[values["study"]], **values}
     run = RunConfig(**values)
 
+    # Every setting reaches the output JSON, so each is checked here under the name
+    # and bounds of the code that reads it.  Two studies read a setting under a
+    # stricter bound and are left to check it themselves: coverage reps, orthogonality n.
     _check_int("seed", run.seed, 0)
-    _check_real("alpha", run.alpha, "(0, 1)")  # every float setting reaches the output JSON
+    _check_real("alpha", run.alpha, "(0, 1)")
     _check_real("perturbation_scale", run.scale, REALS)
+    _check_int("n_folds", run.K, 2)
+    if run.study != "orthogonality":
+        _check_int("n", run.n, 1)
+    if run.reps is not None and run.study != "coverage":
+        _check_int("reps", run.reps, 1, MAX_REPS)
+    _check_int("exposure level", run.t_level, 0, 1)
+    _check_int("mediator level", run.m_level, -2**53, 2**53)
+    for i, v in enumerate(run.n_grid):
+        _check_int(f"n_grid[{i}]", v, 1)
     if run.command == "estimate":
         _check_choice("estimand", run.estimand, ESTIMANDS)
     if run.probe is not None and (run.command, run.estimand) != ("estimate", "cate"):
@@ -250,7 +263,6 @@ def _dgp_config(run: RunConfig) -> DgpConfig:
 
 def cmd_simulate(run: RunConfig) -> int:
     config = _dgp_config(run)
-    _check_int("n", run.n, 1)
     data, truth = generate(config, run.n, run.seed)
     if config.kind in CATE_KINDS:
         estimand, theta = "ate", truth.theta_ate

@@ -21,7 +21,8 @@ descent then carries on.  The logistic link runs
 proximal Newton: each outer step minimizes the iteratively reweighted
 quadratic model with that same coordinate descent, finish included, then
 backtracks on the true objective.  Every returned solution passes a
-subgradient stationarity check at tolerance 1e-6.
+subgradient stationarity check at tolerance 1e-6, in units of 2**k for a
+lasso fit whose outcomes lie beyond 2**33 (see lasso_fit).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .nnet import _expit
 
 _LINKS = ("identity", "logistic")
 _KKT_TOL = 1e-6
+_MAX_EXPONENT = 33  # lasso outcomes are fitted below 2**33: see lasso_fit
 _PROB_CLIP = 1e-6
 _MAX_SWEEPS = 10_000
 _MAX_NEWTON = 500
@@ -205,19 +207,28 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
 
     Convergence: max absolute coefficient change in a sweep < 1e-8, or an
     accepted exact finish on the support, capped at 10_000 sweeps.
+    Outcomes with max |y| >= 2**33 are fitted as y * 2**-k with lam and the
+    warm start times 2**-k, k the least integer that brings them below
+    2**33, and the fit is scaled back; a power of two scales exactly, so the
+    fit is equivariant and the tolerances hold in units of 2**k.
     ``_warm`` = (intercept, coefficients) starts the descent from an earlier
     solution, as along a penalty path; only the coefficients are used,
     since the intercept follows from them.
     """
     x, y, w = _check_inputs(x, y, lam, sample_weight)
-    beta = np.zeros(x.shape[1]) if _warm is None else np.array(_warm[1], dtype=np.float64)
-    b0, beta, trace = _gram_cd(x, y, w, lam, beta, _MAX_SWEEPS)
+    k = max(0, math.frexp(float(np.abs(y).max()))[1] - _MAX_EXPONENT)
+    y, scaled_lam = np.ldexp(y, -k), math.ldexp(lam, -k)
+    beta = np.zeros(x.shape[1]) if _warm is None else np.ldexp(
+        np.asarray(_warm[1], dtype=np.float64), -k)
+    b0, beta, trace = _gram_cd(x, y, w, scaled_lam, beta, _MAX_SWEEPS)
     r = y - b0 - x @ beta
     if not abs(float(w @ r)) <= _KKT_TOL:
         raise ConvergenceError("lasso intercept failed stationarity")
-    _kkt_check(-2.0 * (x.T @ (w * r)), beta, lam, "lasso")
+    _kkt_check(-2.0 * (x.T @ (w * r)), beta, scaled_lam, "lasso")
+    beta = np.ldexp(beta, k)
     beta.flags.writeable = False
-    return LinearModel(beta, b0, "identity", float(lam), tuple(trace))
+    return LinearModel(beta, math.ldexp(b0, k), "identity", float(lam),
+                       tuple(np.ldexp(trace, 2 * k).tolist()))
 
 
 def _logistic_objective(eta, y, w, beta, lam):

@@ -11,7 +11,7 @@ score ``cde_score`` is ``dte_score`` on data relabelled to 1{T=t} and 1{M=m}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,31 +24,47 @@ PredictFn = Callable[[np.ndarray], np.ndarray]
 PROPENSITY_CLIP = 0.01  # the default clip of every nuisance bundle and estimator
 
 
+class _Rows:
+    """The row contract, applied to the fields in declaration order: s, s1 and
+    s2 are covariate blocks with the first block's row count, t, t1 and t2
+    are 0/1, y lies in ``REALS`` and m, when given, holds integer levels."""
+
+    def __post_init__(self):
+        n = None
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
+            if name.startswith("s"):
+                value = _covariates(value, name)
+                if n is None:
+                    first, n = name, value.shape[0]
+                elif value.shape[0] != n:
+                    raise InputError(f"{first} and {name} must have the same number of rows")
+            elif value is not None:  # m is optional
+                value = _check_vector(value, n, name, binary=name.startswith("t"),
+                                      bound=MAX_REAL if name == "y" else None)
+                if name == "m" and not np.all(value == np.round(value)):
+                    raise InputError("m must hold integer mediator levels")
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+
 @dataclass(frozen=True)
-class CateData:
+class CateData(_Rows):
     """Single-stage observations: covariates, binary treatment, outcome."""
 
     s: np.ndarray
     t: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        s = _covariates(self.s, "s")
-        n = s.shape[0]
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", _check_vector(self.t, n, "t", binary=True))
-        object.__setattr__(self, "y", _check_vector(self.y, n, "y", bound=MAX_REAL))
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
     def subset(self, idx) -> "CateData":
         return CateData(self.s[idx], self.t[idx], self.y[idx])
 
 
 @dataclass(frozen=True)
-class DteData:
+class DteData(_Rows):
     """Two-stage observations; ``m`` holds a mediator level when present."""
 
     s1: np.ndarray
@@ -57,26 +73,6 @@ class DteData:
     t2: np.ndarray
     y: np.ndarray
     m: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        s1 = _covariates(self.s1, "s1")
-        n = s1.shape[0]
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "t1", _check_vector(self.t1, n, "t1", binary=True))
-        object.__setattr__(self, "s2", _covariates(self.s2, "s2"))
-        if self.s2.shape[0] != n:
-            raise InputError("s1 and s2 must have the same number of rows")
-        object.__setattr__(self, "t2", _check_vector(self.t2, n, "t2", binary=True))
-        object.__setattr__(self, "y", _check_vector(self.y, n, "y", bound=MAX_REAL))
-        if self.m is not None:
-            m = _check_vector(self.m, n, "m")
-            if not np.all(m == np.round(m)):
-                raise InputError("m must hold integer mediator levels")
-            object.__setattr__(self, "m", m)
-
-    @property
-    def n(self) -> int:
-        return self.s1.shape[0]
 
     @property
     def sbar2(self) -> np.ndarray:
@@ -101,13 +97,22 @@ def _predict(nuis, role: str, x: np.ndarray) -> np.ndarray:
     return values
 
 
-def _clip(nuis, role: str, x: np.ndarray) -> np.ndarray:
-    c = nuis.propensity_clip
-    return np.clip(_predict(nuis, role, x), c, 1.0 - c)
+class _Clipped:
+    """A nuisance bundle whose propensity roles are clipped by ``propensity_clip``."""
+
+    def __post_init__(self):
+        _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
+
+    def _clip(self, role: str, x: np.ndarray) -> np.ndarray:
+        c = self.propensity_clip
+        return np.clip(_predict(self, role, x), c, 1.0 - c)
+
+    def clipped_pi(self, s: np.ndarray) -> np.ndarray:
+        return self._clip("pi", s)
 
 
 @dataclass(frozen=True)
-class CateNuisance:
+class CateNuisance(_Clipped):
     """Role-tagged nuisance predictors for single-stage scores."""
 
     pi: PredictFn
@@ -115,15 +120,9 @@ class CateNuisance:
     mu0: PredictFn
     propensity_clip: float = PROPENSITY_CLIP
 
-    def __post_init__(self):
-        _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
-
-    def clipped_pi(self, s: np.ndarray) -> np.ndarray:
-        return _clip(self, "pi", s)
-
 
 @dataclass(frozen=True)
-class DteNuisance:
+class DteNuisance(_Clipped):
     """Role-tagged nuisance predictors for two-stage scores.
 
     ``pi`` and ``mu`` take first-stage covariates s1; ``rho`` and ``nu`` take
@@ -137,14 +136,8 @@ class DteNuisance:
     mu: Optional[PredictFn] = None
     propensity_clip: float = PROPENSITY_CLIP
 
-    def __post_init__(self):
-        _check_real("propensity_clip", self.propensity_clip, "(0, 0.5)")
-
-    def clipped_pi(self, s1: np.ndarray) -> np.ndarray:
-        return _clip(self, "pi", s1)
-
     def clipped_rho(self, sbar2: np.ndarray) -> np.ndarray:
-        return _clip(self, "rho", sbar2)
+        return self._clip("rho", sbar2)
 
 
 # ------------------------------------------------------------------ folds

@@ -612,6 +612,56 @@ def test_estimate_checks_dgp_fields_and_non_finite_json(tmp_path, capsys, text, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["estimate", "--estimand", "cate", "--K", "-5"], None,
+     "n_folds must be an integer >= 2, got -5"),
+    (["diagnose", "orthogonality", "--n", "1000", "--reps", "-4"], None,
+     "reps must be an integer in [1, 100000], got -4"),
+    (["estimate", "--estimand", "dte"], {"n": -3}, "n must be an integer >= 1, got -3"),
+    (["estimate", "--estimand", "dte"], {"t_level": 7},
+     "exposure level must be an integer in [0, 1], got 7"),
+    (["estimate", "--estimand", "dte"], {"reps": 0},
+     "reps must be an integer in [1, 100000], got 0"),
+    (["estimate", "--estimand", "dte"], {"n_grid": [0, -1]},
+     "n_grid[0] must be an integer >= 1, got 0"),
+], ids=["K", "reps_flag", "n", "t_level", "reps", "n_grid"])
+def test_unread_integer_settings_are_checked_before_they_reach_the_output(
+        tmp_path, capsys, argv, doc, message):
+    """Each run once exited 0 and embedded the bad value in its output's config."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.json"
+    if argv[0] == "estimate":
+        src = tmp_path / "d.csv"
+        dgp = "cate_linear" if argv[2] == "cate" else "dte_linear"
+        assert run_cli("simulate", "--dgp", dgp, "--n", "200", "--seed", "1",
+                       "--out", str(src)) == 0
+        argv = argv + ["--data", str(src)]
+    if doc is not None:
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ate_with_outcomes_of_1e12_exits_0(tmp_path, capsys):
+    """The lasso fits outcomes beyond 2**33 at a power-of-two scale; at unit
+    scale the mu fit failed its intercept stationarity check (exit 4)."""
+    src = tmp_path / "d.csv"
+    assert run_cli("simulate", "--dgp", "cate_linear", "--n", "80", "--seed", "1",
+                   "--out", str(src)) == 0
+    header, *rows = src.read_text().splitlines()
+    for i in (0, 1):
+        rows[i] = rows[i].rsplit(",", 1)[0] + ",1e12"
+    src.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run_cli("estimate", "--estimand", "ate", "--data", str(src), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())["report"]
+    assert np.isfinite([report["theta_hat"], report["sigma_hat"]]).all()
+
+
 _BASE_N = 60
 _CELLS = ("nan", "inf", "1e400", "1e308", "-1e308", "1e100", "-1e100", "9.9e99", "1e20",
           "1e-300", "1.5", "-1", "2", "0", "1", "", "abc")

@@ -188,6 +188,23 @@ def test_joint_scaling_homogeneity():
     assert m2.intercept == pytest.approx(c * m1.intercept, abs=1e-8)
 
 
+def test_outcome_scale_by_a_power_of_two_scales_the_fit_exactly():
+    """Outcomes beyond 2**33 are fitted at a power-of-two scale, so the
+    stationarity tolerances hold at any magnitude and the fit is equivariant
+    bit for bit; at unit scale these fits would fail the intercept check."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (40, 3))
+    y = x @ np.array([0.7, -0.2, 0.0]) + 0.3 * rng.normal(size=40)
+    w = rng.uniform(0.5, 2.0, 40)
+    m1 = lasso_fit(x, np.ldexp(y, 40), np.ldexp(0.1, 40), sample_weight=w)
+    m2 = lasso_fit(x, np.ldexp(y, 50), np.ldexp(0.1, 50), sample_weight=w)
+    assert np.array_equal(m2.coefficients, np.ldexp(m1.coefficients, 10))
+    assert m2.intercept == np.ldexp(m1.intercept, 10)
+    assert m2.objective_trace == tuple(np.ldexp(m1.objective_trace, 20).tolist())
+    unit = lasso_fit(x, y, 0.1, sample_weight=w)
+    assert_allclose(m1.coefficients, np.ldexp(unit.coefficients, 40), rtol=1e-9, atol=1.0)
+
+
 def test_zero_weight_rows_inert():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (30, 2))

@@ -98,6 +98,60 @@ def test_container_validation():
         )
 
 
+def _rows(cls):
+    """Valid 3-row fields of cls, by name."""
+    if cls is CateData:
+        return {"s": np.zeros((3, 2)), "t": np.zeros(3), "y": np.zeros(3)}
+    return {"s1": np.zeros((3, 2)), "t1": np.zeros(3), "s2": np.zeros((3, 2)),
+            "t2": np.zeros(3), "y": np.zeros(3), "m": np.zeros(3)}
+
+
+def _set(cell):
+    """A fault that sets row 2 of a field to ``cell``."""
+    def fault(value):
+        value = value.copy()
+        value[1] = cell
+        return value
+    return fault
+
+
+def _short(value):
+    return value[:2]
+
+
+_ROW_FAULTS = [
+    (CateData, "s", _set(np.nan), "s contains non-finite values"),
+    (CateData, "s", _set(1.5), "s has entries outside the covariate support [-1, 1]"),
+    (CateData, "t", _set(2.0), "t must be coded 0/1"),
+    (CateData, "t", _short, "t must have shape (3,), got (2,)"),
+    (CateData, "y", _set(1e101), "y row 2 lies outside [-1e+100, 1e+100]"),
+    (CateData, "y", _short, "y must have shape (3,), got (2,)"),
+    (DteData, "s1", _set(np.nan), "s1 contains non-finite values"),
+    (DteData, "s1", _set(1.5), "s1 has entries outside the covariate support [-1, 1]"),
+    (DteData, "t1", _set(2.0), "t1 must be coded 0/1"),
+    (DteData, "t1", _short, "t1 must have shape (3,), got (2,)"),
+    (DteData, "s2", _set(np.nan), "s2 contains non-finite values"),
+    (DteData, "s2", _set(1.5), "s2 has entries outside the covariate support [-1, 1]"),
+    (DteData, "s2", _short, "s1 and s2 must have the same number of rows"),
+    (DteData, "t2", _set(2.0), "t2 must be coded 0/1"),
+    (DteData, "t2", _short, "t2 must have shape (3,), got (2,)"),
+    (DteData, "y", _set(1e101), "y row 2 lies outside [-1e+100, 1e+100]"),
+    (DteData, "y", _short, "y must have shape (3,), got (2,)"),
+    (DteData, "m", _set(0.5), "m must hold integer mediator levels"),
+    (DteData, "m", _short, "m must have shape (3,), got (2,)"),
+]
+
+
+@pytest.mark.parametrize("cls, field, fault, message", _ROW_FAULTS,
+                         ids=[f"{c.__name__}-{f}-{m}" for c, f, _, m in _ROW_FAULTS])
+def test_row_contract_names_each_fault(cls, field, fault, message):
+    rows = _rows(cls)
+    rows[field] = fault(rows[field])
+    with pytest.raises(InputError) as exc:
+        cls(**rows)
+    assert str(exc.value) == message
+
+
 def test_sbar2_concatenates_history():
     rng = np.random.default_rng(0)
     d = rand_dte(rng, 5)

@@ -17,12 +17,14 @@ CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 and for the two kinds those leave out (cate_rough_outcome, dte_sparse_smooth)
 at p=6, a dte estimate with MLP nuisances, ``simulate`` then ``estimate`` on
 dte_linear with d1=40, d2=10, q=2, noise_sd=1 at n=300 and n=80 (seed 3000),
-where the lasso strata have about as many rows as columns or fewer, and nine
+where the lasso strata have about as many rows as columns or fewer, and ten
 hostile runs that must exit 2 with one line: a string ``alpha`` in
 ``--config``, ``--seed -1``, an orthogonality ``scale`` of 10**400, an
 ``m_level`` of 10**400, a ``d`` of 10**30, an orthogonality ``--scale 1e308``,
-an ate and a cde file with one treated row's y set to 1e308 and -1e308, and a
-dte estimate given ``--probe``, which only the cate estimate reads.
+an ate and a cde file with one treated row's y set to 1e308 and -1e308, a
+dte estimate given ``--probe``, which only the cate estimate reads, and a
+cate estimate given ``--K -5``, which it does not read; and an ate estimate
+on an n=80 cate_linear file whose first two y cells are set to 1e12.
 API runs: ``estimate_dte`` with the nested MLP stage-one regression,
 ``estimate_cate`` with MLP nuisances, ``estimate_ate`` with a ConstantSpec
 mu and with an oracle pi that returns an (n, 1) column, a 100-replication
@@ -149,6 +151,16 @@ def cli_runs(out: Path) -> None:
         _cli(out, stem, "estimate", "--estimand", estimand, "--data", f"{stem}.csv")
     _cli(out, "hostile_probe_dte", "estimate", "--estimand", "dte",
          "--data", "dte_linear_p6.csv", "--probe", "missing.csv")
+    _cli(out, "hostile_negative_K", "estimate", "--estimand", "cate",
+         "--data", "cate_sparse_smooth_p6.csv", "--K", "-5", "--out", "negative_K_report.json")
+    # Outcomes beyond 2**33, which the lasso fits at a power-of-two scale.
+    _cli(out, "ate_y_1e12_simulate", "simulate", "--dgp", "cate_linear", "--n", "80",
+         "--seed", "1", "--out", "ate_y_1e12.csv")
+    header, *rows = (out / "ate_y_1e12.csv").read_text().splitlines()
+    rows[:2] = [row.rsplit(",", 1)[0] + ",1e12" for row in rows[:2]]
+    (out / "ate_y_1e12.csv").write_text("\n".join([header, *rows]) + "\n")
+    _cli(out, "ate_y_1e12", "estimate", "--estimand", "ate", "--data", "ate_y_1e12.csv",
+         "--out", "ate_y_1e12_report.json")
 
 
 def api_runs(out: Path) -> None:
