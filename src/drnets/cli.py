@@ -36,6 +36,7 @@ from .scores import CateData, DteData
 from .simlab import (
     CATE_KINDS,
     DTE_KINDS,
+    LEARNER_FAMILIES,
     MAX_REPS,
     DgpConfig,
     coverage_study,
@@ -169,7 +170,7 @@ _STUDY_DEFAULTS = {
     "coverage": {"dgp": "dte_linear", "n": 2000, "reps": 500,
                  "dgp_fields": {"noise_sd": 1.0}},
     "rate_slope": {"dgp": "cate_sparse_smooth", "reps": 20,
-                   "n_grid": (500, 1000, 2000, 4000)},
+                   "n_grid": (500, 1000, 2000, 4000), "learner_family": "mlp"},
     "double_robustness": {"dgp": "cate_sparse_smooth", "reps": 30,
                           "n_grid": (1000, 4000)},
 }
@@ -237,8 +238,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     _check_int("mediator level", run.m_level, -2**53, 2**53)
     for i, v in enumerate(run.n_grid):
         _check_int(f"n_grid[{i}]", v, 1)
-    if run.command == "estimate":
+    if run.command == "estimate" or run.estimand is not None:
         _check_choice("estimand", run.estimand, ESTIMANDS)
+    if run.study is not None:
+        _check_choice("study", run.study, STUDIES)
+    _check_choice("learner family", run.learner_family, LEARNER_FAMILIES)
     if run.probe is not None and (run.command, run.estimand) != ("estimate", "cate"):
         raise ConfigurationError("probe applies only to estimate --estimand cate")
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):
@@ -326,7 +330,7 @@ def cmd_diagnose(run: RunConfig) -> int:
         passed = abs(result["coverage"] - (1.0 - run.alpha)) <= 0.03
     elif run.study == "rate_slope":
         result = rate_slope_study(config, list(run.n_grid), reps=run.reps,
-                                  seed=run.seed)
+                                  seed=run.seed, learner_family=run.learner_family)
         passed = result["slope"] <= -0.3
     else:
         result = {misspec: double_robustness_study(config, misspec, list(run.n_grid),

@@ -210,13 +210,18 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
     Outcomes with max |y| >= 2**33 are fitted as y * 2**-k with lam and the
     warm start times 2**-k, k the least integer that brings them below
     2**33, and the fit is scaled back; a power of two scales exactly, so the
-    fit is equivariant and the tolerances hold in units of 2**k.
+    fit is equivariant and the tolerances hold in units of 2**k.  Outcomes
+    with max |y| >= 2**500 are refused, so that every objective, of order
+    max |y|**2, stays below about 2**1000.
     ``_warm`` = (intercept, coefficients) starts the descent from an earlier
     solution, as along a penalty path; only the coefficients are used,
     since the intercept follows from them.
     """
     x, y, w = _check_inputs(x, y, lam, sample_weight)
-    k = max(0, math.frexp(float(np.abs(y).max()))[1] - _MAX_EXPONENT)
+    top = float(np.abs(y).max())
+    if top >= 2.0**500:
+        raise InputError(f"y must lie in (-2**500, 2**500), got max |y| = {top:g}")
+    k = max(0, math.frexp(top)[1] - _MAX_EXPONENT)
     y, scaled_lam = np.ldexp(y, -k), math.ldexp(lam, -k)
     beta = np.zeros(x.shape[1]) if _warm is None else np.ldexp(
         np.asarray(_warm[1], dtype=np.float64), -k)

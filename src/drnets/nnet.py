@@ -140,9 +140,11 @@ def _clamp(raw, bound):
 
 
 def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    """Clamped network output; for logistic loss this is the clamped logit."""
+    """Clamped network output; for logistic loss this is the clamped logit.  As in
+    training, an overflow clamps to the bound and numpy warns of no overflow or NaN."""
     x = _check_x(x, model.input_dim)
-    return _clamp(_forward(model.weights, model.biases, x)[1], model.config.clamp_bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _clamp(_forward(model.weights, model.biases, x)[1], model.config.clamp_bound)
 
 
 def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):

@@ -44,6 +44,7 @@ INDEX_BOUND_DTE = 1.0
 # The (first, second) treatment paths of a two-stage kind.
 _PATHS = ((0, 0), (0, 1), (1, 0), (1, 1))
 MAX_REPS = 100_000  # a study's replications: its task list is built before any work
+LEARNER_FAMILIES = ("lasso", "mlp", "oracle")
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 
 
 def _study_learners(family: str, truth) -> LearnerSpec:
-    _check_choice("learner family", family, ("lasso", "mlp", "oracle"))
+    _check_choice("learner family", family, LEARNER_FAMILIES)
     if family == "lasso":
         return default_learner_spec("lasso")
     if family == "oracle":
@@ -463,6 +464,10 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     """
     _check_int("reps", reps, 100, MAX_REPS)
     _check_int("seed", seed, 0)
+    _check_choice("learner family", learner_family, LEARNER_FAMILIES)
+    _check_int("n_folds", n_folds, 2)
+    _check_int("n", n, n_folds)
+    _check_real("alpha", alpha, "(0, 1)")
     tasks = [(config, learner_family, n, alpha, n_folds, _derive_seed(seed, r))
              for r in range(reps)]
     rows = parallel_map(_coverage_rep, tasks)

@@ -1,5 +1,7 @@
 """Tests for the L1 solvers against analytic and brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,20 @@ def test_outcome_scale_by_a_power_of_two_scales_the_fit_exactly():
     assert m2.objective_trace == tuple(np.ldexp(m1.objective_trace, 20).tolist())
     unit = lasso_fit(x, y, 0.1, sample_weight=w)
     assert_allclose(m1.coefficients, np.ldexp(unit.coefficients, 40), rtol=1e-9, atol=1.0)
+
+
+def test_outcomes_of_2_to_500_or_more_are_refused():
+    """An objective is of order max |y|**2: outcomes near 1e155 would overflow
+    the trace as it is scaled back, while 1e150 still fits with a finite one."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, (60, 3))
+    y = x @ np.array([0.7, -0.2, 0.0]) + 0.3 * rng.normal(size=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^y must lie in \(-2\*\*500, 2\*\*500\), got max"):
+            lasso_fit(x, 1e155 * y, 0.1)
+        model = lasso_fit(x, 1e150 * y, 0.1)
+    assert np.isfinite(model.objective_trace).all()
 
 
 def test_zero_weight_rows_inert():

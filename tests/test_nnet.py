@@ -163,6 +163,12 @@ def test_clamp_hits_bound_exactly():
     assert mlp_predict(m, np.array([[0.3]]))[0] == 0.5
     m_neg = MLPModel(cfg, 1, weights, (np.array([0.0]), np.array([-5.0])))
     assert mlp_predict(m_neg, np.array([[0.3]]))[0] == -0.5
+    # An output layer whose product overflows to +-inf, with no numpy warning.
+    for sign in (1.0, -1.0):
+        huge = MLPModel(cfg, 1, (np.array([[1e308]]), np.array([[sign * 1e308]])), biases)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mlp_predict(huge, np.array([[0.3]]))[0] == sign * 0.5
 
 
 def test_clamp_invariant_random_inputs():

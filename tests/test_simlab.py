@@ -186,6 +186,15 @@ def test_coverage_study_validates_reps():
         coverage_study(DgpConfig(kind="dte_linear"), reps=50)
 
 
+@pytest.mark.parametrize("setting, value, name", [("learner_family", "nested", "learner family"),
+                                                  ("n_folds", 1, "n_folds"), ("n", 0, "n"),
+                                                  ("alpha", 1.5, "alpha")])
+def test_coverage_study_checks_every_argument_before_any_worker(monkeypatch, setting, value, name):
+    monkeypatch.setattr(simlab, "parallel_map", lambda *args: pytest.fail("a worker started"))
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        coverage_study(DgpConfig(kind="dte_linear"), reps=100, **{setting: value})
+
+
 def test_coverage_report_supports_recomputing_levels():
     """Stored per-replication estimates reproduce the reported coverage."""
     config = DgpConfig(kind="dte_linear", noise_sd=0.0, effect_scale=0.0,

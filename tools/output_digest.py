@@ -23,8 +23,12 @@ hostile runs that must exit 2 with one line: a string ``alpha`` in
 ``m_level`` of 10**400, a ``d`` of 10**30, an orthogonality ``--scale 1e308``,
 an ate and a cde file with one treated row's y set to 1e308 and -1e308, a
 dte estimate given ``--probe``, which only the cate estimate reads, and a
-cate estimate given ``--K -5``, which it does not read; and an ate estimate
-on an n=80 cate_linear file whose first two y cells are set to 1e12.
+cate estimate given ``--K -5``, which it does not read; an ate estimate
+on an n=80 cate_linear file whose first two y cells are set to 1e12, and an
+ate estimate with MLP nuisances on an n=400 cate_linear file whose first
+three y cells are set to 1e100; a simulate given an ``estimand``, ``study``
+and ``learner_family`` outside their choices, which it does not read; and a
+rate-slope study at n_grid [100, 200, 400] with one replication.
 API runs: ``estimate_dte`` with the nested MLP stage-one regression,
 ``estimate_cate`` with MLP nuisances, ``estimate_ate`` with a ConstantSpec
 mu and with an oracle pi that returns an (n, 1) column, a 100-replication
@@ -102,6 +106,13 @@ def _set_treated_y(text: str, value: str) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _set_first_y(path: Path, k: int, value: str) -> None:
+    """Set y (the last column) to value in the first k rows of a CSV file."""
+    header, *rows = path.read_text().splitlines()
+    rows[:k] = [row.rsplit(",", 1)[0] + "," + value for row in rows[:k]]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def cli_runs(out: Path) -> None:
     _cli(out, "help_drnets", "--help")
     for command in ("simulate", "estimate", "diagnose"):
@@ -156,11 +167,22 @@ def cli_runs(out: Path) -> None:
     # Outcomes beyond 2**33, which the lasso fits at a power-of-two scale.
     _cli(out, "ate_y_1e12_simulate", "simulate", "--dgp", "cate_linear", "--n", "80",
          "--seed", "1", "--out", "ate_y_1e12.csv")
-    header, *rows = (out / "ate_y_1e12.csv").read_text().splitlines()
-    rows[:2] = [row.rsplit(",", 1)[0] + ",1e12" for row in rows[:2]]
-    (out / "ate_y_1e12.csv").write_text("\n".join([header, *rows]) + "\n")
+    _set_first_y(out / "ate_y_1e12.csv", 2, "1e12")
     _cli(out, "ate_y_1e12", "estimate", "--estimand", "ate", "--data", "ate_y_1e12.csv",
          "--out", "ate_y_1e12_report.json")
+    # Networks fit to outcomes of 1e100 overflow when they predict.
+    _cli(out, "ate_mlp_y_1e100_simulate", "simulate", "--dgp", "cate_linear", "--n", "400",
+         "--seed", "3", "--out", "ate_mlp_y_1e100.csv")
+    _set_first_y(out / "ate_mlp_y_1e100.csv", 3, "1e100")
+    _cli(out, "ate_mlp_y_1e100", "estimate", "--estimand", "ate", "--data", "ate_mlp_y_1e100.csv",
+         "--seed", "0", "--config", "mlp.json", "--out", "ate_mlp_y_1e100_report.json")
+    (out / "unread_strings.json").write_text(json.dumps(
+        {"estimand": "banana", "study": "x", "learner_family": "y"}))
+    _cli(out, "simulate_unread_strings", "simulate", "--dgp", "dte_linear", "--n", "50",
+         "--config", "unread_strings.json", "--out", "unread_strings.csv")
+    (out / "rate_slope_small.json").write_text(json.dumps({"n_grid": [100, 200, 400], "reps": 1}))
+    _cli(out, "rate_slope_small", "diagnose", "rate_slope", "--config", "rate_slope_small.json",
+         "--out", "rate_slope_small_report.json")
 
 
 def api_runs(out: Path) -> None:
