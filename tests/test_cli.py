@@ -451,124 +451,139 @@ _DTE_OUT, _ATE_OUT = _DTE + " --out o.json", _ATE + " --out r.json"
 _DIGITS = (_JSON + "..." if hasattr(sys, "get_int_max_str_digits")
            else "perturbation_scale" + _TOO_LARGE)
 
-# Every refused run as (id, argv, message[, config[, edit]]).  The config, a dict
-# or raw bytes, is passed as --config cfg.json; the edit rewrites the base data
+# Every refused run, filed under the test that runs it: test name -> rows of
+# (case, argv, message[, config[, edit]]).  A test is parametrized by its rows'
+# cases; one whose case is None runs its rows in turn.  The config, a dict or
+# raw bytes, is passed as --config cfg.json; the edit rewrites the base data
 # file that --data names.  A message ending in "..." is a prefix of the stderr
-# line, whose rest is numpy's or Python's text.
-_REFUSED = [
-    ("probe_dte_flag", "estimate --estimand dte --data no.csv --probe no.csv --out r.json", _PROBE),
-    ("probe_ate_config", "estimate --estimand ate --data no.csv --out r.json", _PROBE,
-     {"probe": "no.csv"}),
-    ("probe_simulate_config", "simulate --dgp dte_linear --out r.json", _PROBE,
-     {"probe": "no.csv"}),
-    ("type_alpha", _DTE, "config key 'alpha' must be float, got '0.05'", {"alpha": "0.05"}),
-    ("type_n", _DTE, "config key 'n' must be int, got 'abc'", {"n": "abc"}),
-    ("type_seed", _DTE, "config key 'seed' must be int, got 'x'", {"seed": "x"}),
-    ("type_t_level", _DTE, "config key 't_level' must be int, got '1'", {"t_level": "1"}),
-    ("unknown_key", "simulate --out x.csv", "unknown config key 'banana'",
-     {"dgp": "cate_linear", "banana": 1}),
-    ("study_unknown", "diagnose nonsense", _STUDY + ", got 'nonsense'"),
-    ("study_missing", "diagnose", _STUDY + ", got None"),
-    *((f"alpha_{e}", f"estimate --estimand {e} --data {e}.csv --alpha 1.5",
-       "alpha must lie in (0, 1), got 1.5") for e in ("ate", "dte", "cde")),
-    ("requires_data", "estimate --estimand ate", "estimate requires --data"),
-    ("requires_estimand", "estimate --data x.csv", _ESTIMAND + ", got None"),
-    ("config_non_utf8", _SIM, "cfg.json" + _UTF8, b'\xff\xfe{"n": 3}'),
-    ("config_member_a_list", _SIM, _NOT_OBJECT, b'{"config": [1, 2]}'),
-    ("config_member_null", _SIM, _NOT_OBJECT, b'{"config": null}'),
-    ("config_nested_too_deep", _SIM, _JSON + "maximum recursion depth exceeded while decoding "
-     "a JSON array from a unicode string", b"[" * 100_000 + b"]" * 100_000),
-    ("data_nan", _DTE, "s1 contains non-finite values", None, _cells((0, 0, "nan"))),
-    ("data_inf", _DTE, "y contains non-finite values", None, _cells((0, -1, "inf"))),
-    ("data_covariate_1.5", _DTE, "s1 has entries outside the covariate support [-1, 1]", None,
-     _cells((0, 0, "1.5"))),
-    ("data_quoted_header", _DTE, "column 1: expected 'a1', found '\"a1\"'", None,
-     lambda data: data.replace(b"a1", b'"a1"', 1)),
-    ("data_duplicate_header", _DTE, "column 2: expected 't1', found 'a1'", None,
-     lambda data: data.replace(b"a2", b"a1", 1)),
-    ("data_ragged_row", _DTE, _CSV_ROW, None, _cells((1, -1, "0,0"))),
-    ("data_text_cell", _DTE, _CSV_ROW, None, _cells((0, 1, "abc"))),
-    ("data_header_only", _DTE, "dte.csv: no data rows", None,
-     lambda data: data[:data.index(b"\n") + 1]),
-    ("data_empty", _DTE, "dte.csv: no data rows", None, lambda data: b""),
-    ("data_non_utf8", _DTE, "dte.csv" + _UTF8, None, lambda data: b"\xff" + data),
-    ("data_all_treated_t1", _DTE, _ARMS, None, _cells(*((r, 4, "1") for r in range(_BASE_N)))),
-    ("seed_simulate", _SIM + " --seed -1", "seed must be an integer >= 0, got -1"),
-    ("seed_estimate", "estimate --estimand dte --data no.csv --seed -1",
-     "seed must be an integer >= 0, got -1"),
-    ("seed_coverage", "diagnose coverage --reps 100 --n 50 --seed -3",
-     "seed must be an integer >= 0, got -3"),
-    ("orthogonality_n_0", "diagnose orthogonality --n 0", "n must be an integer >= 2, got 0"),
-    ("rate_slope_reps_0", "diagnose rate_slope --reps 0",
-     "reps must be an integer in [1, 100000], got 0"),
-    ("dgp_d1_2.5", _SIM, f"d1 must be an integer in [1, {MAX_SIZE}], got 2.5",
-     {"dgp_fields": {"d1": 2.5}}),
-    ("dgp_q_1.5", _SIM, "q must be an integer, got 1.5", {"dgp_fields": {"q": 1.5}}),
-    ("dgp_coef_seed_1.5", _SIM, "coef_seed must be an integer >= 0, got 1.5",
-     {"dgp_fields": {"coef_seed": 1.5}}),
-    ("dgp_coef_seed_negative", _SIM, "coef_seed must be an integer >= 0, got -1",
-     {"dgp_fields": {"coef_seed": -1}}),
-    ("dgp_propensity_offset_nan", "simulate --dgp cate_linear --n 50 --out x.csv",
-     _NON_FINITE + "NaN", {"dgp_fields": {"propensity_offset": float("nan")}}),
-    ("scale_nan", _ORTHO + " --scale nan", "perturbation_scale must be finite, got nan"),
-    ("scale_inf", _ORTHO + " --scale inf", "perturbation_scale must be finite, got inf"),
-    ("dgp_noise_sd_bool", _SIM, "noise_sd must be a number, got True",
-     {"dgp_fields": {"noise_sd": True}}),
-    ("simulate_n_1e23", _SIM + f" --n {10**23}",
-     f"n must be an integer in [0, {MAX_SIZE // 10}], got {10**23}"),
-    ("scale_int_too_large", _ORTHO, "perturbation_scale" + _TOO_LARGE, {"scale": _BIG}),
-    ("noise_sd_int_too_large", _SIM, "noise_sd" + _TOO_LARGE, {"dgp_fields": {"noise_sd": _BIG}}),
-    ("scale_401_digits", _ORTHO, "perturbation_scale" + _TOO_LARGE, b'{"scale": %d}' % _BIG),
-    ("noise_sd_401_digits", _SIM, "noise_sd" + _TOO_LARGE,
-     b'{"dgp_fields": {"noise_sd": %d}}' % _BIG),
-    ("scale_5001_digits", _ORTHO, _DIGITS, b'{"scale": 1' + b"0" * 5000 + b"}"),
-    ("m_level_401_digits", "estimate --estimand cde --data cde.csv",
-     f"mediator level must be an integer in [{-2**53}, {2**53}], got {_BIG}",
-     b'{"m_level": %d}' % _BIG),
-    ("d_1e30", "diagnose orthogonality --n 2000",
-     f"d must be an integer in [1, {MAX_SIZE}], got {10**30}", {"dgp_fields": {"d": 10**30}}),
-    ("scale_1e308", "diagnose orthogonality --scale 1e308 --n 2000",
-     "perturbation_scale must lie in [-1e+100, 1e+100], got 1e+308"),
-    # y set in a row whose treatment columns hold 1, so that it would enter every score
-    ("ate_y_1e308", _ATE, _Y, None, _cells((0, -2, "1"), (0, -1, "1e308"))),
-    ("cde_y_-1e308", "estimate --estimand cde --data cde.csv", _Y, None,
-     _cells((0, 4, "1"), (0, 7, "1"), (0, -1, "-1e308"))),
-    ("alpha_nan_unused", "diagnose orthogonality --alpha nan --n 2000 --out o.json",
-     "alpha must be finite, got nan"),
-    ("json_nan", _ATE_OUT, _NON_FINITE + "NaN", b'{"dgp_fields": {"noise_sd": NaN}}'),
-    ("json_minus_infinity", _ATE_OUT, _NON_FINITE + "-Infinity", b'{"alpha": -Infinity}'),
-    ("json_1e400", _ATE_OUT, _NON_FINITE + "1e400", b'{"scale": 1e400}'),
-    ("dgp_noise_sd_negative", _ATE_OUT, "noise_sd must lie in [0, 1e100], got -1",
-     {"dgp_fields": {"noise_sd": -1}}),
-    ("dgp_q_above_d", _ATE_OUT, "q must lie in [1, d], got 4", {"dgp_fields": {"d": 3, "q": 4}}),
-    ("dgp_kind_unknown", _ATE_OUT, "kind must be one of ('cate_linear', "
-     "'cate_sparse_smooth', 'cate_rough_outcome', 'dte_linear', 'dte_sparse_smooth', "
-     "'cde_binary'), got 'banana'", {"dgp": "banana"}),
-    ("dgp_field_unknown", _ATE_OUT, "bad dgp_fields: DgpConfig.__init__() got an "
-     "unexpected keyword argument 'colour'", {"dgp_fields": {"colour": 1}}),
-    ("K_negative", "estimate --estimand cate --data cate.csv --K -5 --out o.json",
-     "n_folds must be an integer >= 2, got -5"),
-    ("reps_flag_negative", _ORTHO + " --reps -4 --out o.json",
-     "reps must be an integer in [1, 100000], got -4"),
-    ("n_negative", _DTE_OUT, "n must be an integer >= 1, got -3", {"n": -3}),
-    ("t_level_7", _DTE_OUT, "exposure level must be an integer in [0, 1], got 7", {"t_level": 7}),
-    ("reps_0", _DTE_OUT, "reps must be an integer in [1, 100000], got 0", {"reps": 0}),
-    ("n_grid_0", _DTE_OUT, "n_grid[0] must be an integer >= 1, got 0", {"n_grid": [0, -1]}),
+# line, whose rest is numpy's or Python's text.  A new refusal is one row under
+# test_refused_run_exits_with_one_line.
+_REFUSED = {
+    "test_probe_outside_cate_estimate_exits_2_before_any_data_is_read": [
+        ("dte_flag", "estimate --estimand dte --data no.csv --probe no.csv --out r.json", _PROBE),
+        ("ate_config", "estimate --estimand ate --data no.csv --out r.json", _PROBE,
+         {"probe": "no.csv"}),
+        ("simulate_config", "simulate --dgp dte_linear --out r.json", _PROBE,
+         {"probe": "no.csv"})],
+    "test_config_value_of_wrong_type_exits_2_before_any_fit": [
+        ("doc0", _DTE, "config key 'alpha' must be float, got '0.05'", {"alpha": "0.05"}),
+        ("doc1", _DTE, "config key 'n' must be int, got 'abc'", {"n": "abc"}),
+        ("doc2", _DTE, "config key 'seed' must be int, got 'x'", {"seed": "x"}),
+        ("doc3", _DTE, "config key 't_level' must be int, got '1'", {"t_level": "1"})],
+    "test_config_file_unknown_key_exits_2": [
+        (None, "simulate --out x.csv", "unknown config key 'banana'",
+         {"dgp": "cate_linear", "banana": 1})],
+    "test_diagnose_unknown_study_exits_2": [
+        (None, "diagnose nonsense", _STUDY + ", got 'nonsense'"),
+        (None, "diagnose", _STUDY + ", got None")],
+    "test_bad_alpha_exits_2_before_any_fit": [
+        (f"{e}-{dgp}", f"estimate --estimand {e} --data {e}.csv --alpha 1.5",
+         "alpha must lie in (0, 1), got 1.5") for e, dgp in _DGPS.items() if e != "cate"],
+    "test_estimate_requires_data_and_estimand": [
+        (None, "estimate --estimand ate", "estimate requires --data"),
+        (None, "estimate --data x.csv", _ESTIMAND + ", got None")],
+    "test_hostile_config_file_exits_2_with_one_line": [
+        ("non_utf8", _SIM, "cfg.json" + _UTF8, b'\xff\xfe{"n": 3}'),
+        ("config_member_a_list", _SIM, _NOT_OBJECT, b'{"config": [1, 2]}'),
+        ("config_member_null", _SIM, _NOT_OBJECT, b'{"config": null}'),
+        ("nested_too_deep", _SIM, _JSON + "maximum recursion depth exceeded while decoding "
+         "a JSON array from a unicode string", b"[" * 100_000 + b"]" * 100_000)],
+    "test_hostile_data_file_exits_with_one_line": [
+        ("nan", _DTE, "s1 contains non-finite values", None, _cells((0, 0, "nan"))),
+        ("inf", _DTE, "y contains non-finite values", None, _cells((0, -1, "inf"))),
+        ("covariate_1.5", _DTE, "s1 has entries outside the covariate support [-1, 1]", None,
+         _cells((0, 0, "1.5"))),
+        ("quoted_header", _DTE, "column 1: expected 'a1', found '\"a1\"'", None,
+         lambda data: data.replace(b"a1", b'"a1"', 1)),
+        ("duplicate_header", _DTE, "column 2: expected 't1', found 'a1'", None,
+         lambda data: data.replace(b"a2", b"a1", 1)),
+        ("ragged_row", _DTE, _CSV_ROW, None, _cells((1, -1, "0,0"))),
+        ("text_cell", _DTE, _CSV_ROW, None, _cells((0, 1, "abc"))),
+        ("header_only", _DTE, "dte.csv: no data rows", None,
+         lambda data: data[:data.index(b"\n") + 1]),
+        ("empty", _DTE, "dte.csv: no data rows", None, lambda data: b""),
+        ("non_utf8", _DTE, "dte.csv" + _UTF8, None, lambda data: b"\xff" + data),
+        ("all_treated_t1", _DTE, _ARMS, None, _cells(*((r, 4, "1") for r in range(_BASE_N))))],
+    "test_bad_setting_exits_2_with_one_line": [
+        (f"argv{i}-{'None' if len(row) == 2 else f'doc{i}'}", *row) for i, row in enumerate([
+            (_SIM + " --seed -1", "seed must be an integer >= 0, got -1"),
+            ("estimate --estimand dte --data no.csv --seed -1",
+             "seed must be an integer >= 0, got -1"),
+            ("diagnose coverage --reps 100 --n 50 --seed -3",
+             "seed must be an integer >= 0, got -3"),
+            ("diagnose orthogonality --n 0", "n must be an integer >= 2, got 0"),
+            ("diagnose rate_slope --reps 0", "reps must be an integer in [1, 100000], got 0"),
+            (_SIM, f"d1 must be an integer in [1, {MAX_SIZE}], got 2.5",
+             {"dgp_fields": {"d1": 2.5}}),
+            (_SIM, "q must be an integer, got 1.5", {"dgp_fields": {"q": 1.5}}),
+            (_SIM, "coef_seed must be an integer >= 0, got 1.5",
+             {"dgp_fields": {"coef_seed": 1.5}}),
+            (_SIM, "coef_seed must be an integer >= 0, got -1", {"dgp_fields": {"coef_seed": -1}}),
+            ("simulate --dgp cate_linear --n 50 --out x.csv", _NON_FINITE + "NaN",
+             {"dgp_fields": {"propensity_offset": float("nan")}}),
+            (_ORTHO + " --scale nan", "perturbation_scale must be finite, got nan"),
+            (_ORTHO + " --scale inf", "perturbation_scale must be finite, got inf"),
+            (_SIM, "noise_sd must be a number, got True", {"dgp_fields": {"noise_sd": True}}),
+            (_SIM + f" --n {10**23}",
+             f"n must be an integer in [0, {MAX_SIZE // 10}], got {10**23}"),
+            (_ORTHO, "perturbation_scale" + _TOO_LARGE, {"scale": _BIG}),
+            (_SIM, "noise_sd" + _TOO_LARGE, {"dgp_fields": {"noise_sd": _BIG}})])],
+    "test_config_integer_too_large_exits_2_naming_the_fault": [
+        ("scale", _ORTHO, "perturbation_scale" + _TOO_LARGE, b'{"scale": %d}' % _BIG),
+        ("noise_sd", _SIM, "noise_sd" + _TOO_LARGE, b'{"dgp_fields": {"noise_sd": %d}}' % _BIG),
+        ("digits", _ORTHO, _DIGITS, b'{"scale": 1' + b"0" * 5000 + b"}")],
+    "test_size_and_extreme_value_faults_exit_2_naming_the_setting": [
+        ("m_level", "estimate --estimand cde --data cde.csv",
+         f"mediator level must be an integer in [{-2**53}, {2**53}], got {_BIG}",
+         b'{"m_level": %d}' % _BIG),
+        ("d", "diagnose orthogonality --n 2000",
+         f"d must be an integer in [1, {MAX_SIZE}], got {10**30}", {"dgp_fields": {"d": 10**30}}),
+        ("scale", "diagnose orthogonality --scale 1e308 --n 2000",
+         "perturbation_scale must lie in [-1e+100, 1e+100], got 1e+308"),
+        # y set in a row whose treatment columns hold 1, so that it would enter every score
+        ("ate_y", _ATE, _Y, None, _cells((0, -2, "1"), (0, -1, "1e308"))),
+        ("cde_y", "estimate --estimand cde --data cde.csv", _Y, None,
+         _cells((0, 4, "1"), (0, 7, "1"), (0, -1, "-1e308")))],
+    "test_unused_float_settings_are_checked_before_they_reach_the_report": [
+        (None, "diagnose orthogonality --alpha nan --n 2000 --out o.json",
+         "alpha must be finite, got nan")],
+    "test_estimate_checks_dgp_fields_and_non_finite_json": [
+        (f"{text}-{message}", _ATE_OUT, message, text.encode()) for text, message in [
+            ('{"dgp_fields": {"noise_sd": NaN}}', _NON_FINITE + "NaN"),
+            ('{"alpha": -Infinity}', _NON_FINITE + "-Infinity"),
+            ('{"scale": 1e400}', _NON_FINITE + "1e400"),
+            ('{"dgp_fields": {"noise_sd": -1}}', "noise_sd must lie in [0, 1e100], got -1"),
+            ('{"dgp_fields": {"d": 3, "q": 4}}', "q must lie in [1, d], got 4"),
+            ('{"dgp": "banana"}', "kind must be one of ('cate_linear', 'cate_sparse_smooth', "
+             "'cate_rough_outcome', 'dte_linear', 'dte_sparse_smooth', 'cde_binary'), "
+             "got 'banana'"),
+            ('{"dgp_fields": {"colour": 1}}', "bad dgp_fields: DgpConfig.__init__() got an "
+             "unexpected keyword argument 'colour'")]],
+    "test_unread_integer_settings_are_checked_before_they_reach_the_output": [
+        ("K", "estimate --estimand cate --data cate.csv --K -5 --out o.json",
+         "n_folds must be an integer >= 2, got -5"),
+        ("reps_flag", _ORTHO + " --reps -4 --out o.json",
+         "reps must be an integer in [1, 100000], got -4"),
+        ("n", _DTE_OUT, "n must be an integer >= 1, got -3", {"n": -3}),
+        ("t_level", _DTE_OUT, "exposure level must be an integer in [0, 1], got 7",
+         {"t_level": 7}),
+        ("reps", _DTE_OUT, "reps must be an integer in [1, 100000], got 0", {"reps": 0}),
+        ("n_grid", _DTE_OUT, "n_grid[0] must be an integer >= 1, got 0", {"n_grid": [0, -1]})],
     # string settings that simulate does not read, checked before they are embedded
-    ("simulate_estimand", _SIM, _ESTIMAND + ", got 'banana'", {"estimand": "banana"}),
-    ("simulate_study", _SIM, _STUDY + ", got 'x'", {"study": "x"}),
-    ("simulate_learner_family", _SIM,
-     "learner family must be one of ('lasso', 'mlp', 'oracle'), got 'y'", {"learner_family": "y"}),
-]
+    "test_refused_run_exits_with_one_line": [
+        ("simulate_estimand", _SIM, _ESTIMAND + ", got 'banana'", {"estimand": "banana"}),
+        ("simulate_study", _SIM, _STUDY + ", got 'x'", {"study": "x"}),
+        ("simulate_learner_family", _SIM, "learner family must be one of "
+         "('lasso', 'mlp', 'oracle'), got 'y'", {"learner_family": "y"})],
+}
 
 
-@pytest.mark.parametrize("argv, message, config, edit", [
-    pytest.param(*row[1:], *[None] * (5 - len(row)), id=row[0]) for row in _REFUSED])
-def test_refused_run_exits_with_one_line(tmp_path, monkeypatch, capsys, base_csvs, argv,
-                                         message, config, edit):
-    """A refused run exits 2 (4 for a fold with one t1 arm), fits no nuisance,
-    and writes one stderr line and nothing else: no stdout and no file."""
-    monkeypatch.chdir(tmp_path)
+def _refuse(path, monkeypatch, capsys, base_csvs, argv, message, config=None, edit=None):
+    """Run argv in a fresh directory ``path`` holding the base data files: it
+    exits 2 (4 for a fold with one t1 arm), fits no nuisance, and writes one
+    stderr line and nothing else: no stdout and no file."""
+    path.mkdir(exist_ok=True)
+    monkeypatch.chdir(path)
     for src in base_csvs.glob("*.csv"):
         Path(src.name).write_bytes(src.read_bytes())
     argv = argv.split()
@@ -588,6 +603,24 @@ def test_refused_run_exits_with_one_line(tmp_path, monkeypatch, capsys, base_csv
     assert code == (4 if message == _ARMS else 2), err
     assert err.startswith(line) if message.endswith("...") else err == line + "\n", err
     assert err.count("\n") == 1 and out == "" and sorted(Path().iterdir()) == inputs
+
+
+def _refusal_test(name, rows):
+    """The test ``name`` that runs each of rows through _refuse."""
+    if rows[0][0] is None:
+        def test(tmp_path, monkeypatch, capsys, base_csvs):
+            for i, row in enumerate(rows):
+                _refuse(tmp_path / str(i), monkeypatch, capsys, base_csvs, *row[1:])
+    else:
+        @pytest.mark.parametrize("row", [pytest.param(row, id=row[0]) for row in rows])
+        def test(tmp_path, monkeypatch, capsys, base_csvs, row):
+            _refuse(tmp_path, monkeypatch, capsys, base_csvs, *row[1:])
+    test.__name__ = test.__qualname__ = name
+    return test
+
+
+for _name, _rows in _REFUSED.items():
+    globals()[_name] = _refusal_test(_name, _rows)
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
