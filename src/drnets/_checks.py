@@ -7,7 +7,8 @@ drops zero-weight rows with row order kept, so they change no bit of any
 result, and checks 0/1 labels on the rows left.
 
 Settings: ``_check_int`` and ``_check_real`` check type and range together (a
-bool is never a number); a setting from a fixed set passes ``_check_choice``.
+bool is never a number); a setting from a fixed set passes ``_check_choice``,
+and a data container or config passes ``_check_type``.
 
 Floating point: extreme finite values are stopped where they enter.  Data
 outcomes and the settings that scale them (noise_sd, effect_scale,
@@ -129,3 +130,11 @@ def _check_choice(name: str, value, choices: tuple) -> None:
     """Reject a value that is not one of ``choices``."""
     if value not in choices:
         raise ConfigurationError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_type(name: str, value, *types: type) -> None:
+    """Reject a value that is an instance of none of ``types``."""
+    if not isinstance(value, types):
+        *rest, last = [t.__name__ for t in types]
+        expected = f"{', '.join(rest)} or {last}" if rest else last
+        raise ConfigurationError(f"{name} must be {expected}, got {type(value).__name__}")

@@ -243,6 +243,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if run.study is not None:
         _check_choice("study", run.study, STUDIES)
     _check_choice("learner family", run.learner_family, LEARNER_FAMILIES)
+    if run.command == "estimate":  # it takes the families default_learner_spec builds
+        default_learner_spec(run.learner_family)
+    elif run.study not in ("coverage", "rate_slope") and (
+            run.learner_family != RunConfig.learner_family):
+        raise ConfigurationError(
+            "learner_family applies only to estimate, diagnose coverage and diagnose rate_slope")
     if run.probe is not None and (run.command, run.estimand) != ("estimate", "cate"):
         raise ConfigurationError("probe applies only to estimate --estimand cate")
     for key in {"simulate": ("dgp", "out"), "estimate": ("data",)}.get(run.command, ()):

@@ -17,11 +17,18 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from statistics import NormalDist
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 import numpy as np
 
-from ._checks import _check_choice, _check_finite, _check_int, _check_real, _check_weights
+from ._checks import (
+    _check_choice,
+    _check_finite,
+    _check_int,
+    _check_real,
+    _check_type,
+    _check_weights,
+)
 from .errors import (
     ConfigurationError,
     EstimationError,
@@ -78,6 +85,10 @@ class FixedSpec:
 
     fn: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        if not callable(self.fn):
+            raise ConfigurationError(f"fn must be callable, got {self.fn!r}")
+
 
 LearnerConfig = Union[MLPConfig, LassoSpec, ConstantSpec, FixedSpec]
 
@@ -98,13 +109,20 @@ class LearnerSpec:
     rho: Optional[LearnerConfig] = None
     nu: Optional[LearnerConfig] = None
 
+    def __post_init__(self):
+        for role in ("pi", "mu", "rho", "nu"):
+            cfg = getattr(self, role)
+            if role == "mu" and isinstance(cfg, tuple):
+                if len(cfg) != 2:
+                    raise ConfigurationError("mu pair must be (treated, control) configs")
+                for arm in cfg:
+                    _check_type("LearnerSpec.mu", arm, *get_args(LearnerConfig))
+            elif cfg is not None or role == "pi":
+                _check_type(f"LearnerSpec.{role}", cfg, *get_args(LearnerConfig))
+
 
 def _arm_configs(mu_cfg):
-    if isinstance(mu_cfg, tuple):
-        if len(mu_cfg) != 2:
-            raise ConfigurationError("mu pair must be (treated, control) configs")
-        return mu_cfg
-    return mu_cfg, mu_cfg
+    return mu_cfg if isinstance(mu_cfg, tuple) else (mu_cfg, mu_cfg)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -151,20 +169,18 @@ def _fit_learner(cfg, x, y, w, kind, seed, role):
             if kind == "propensity":
                 return lambda s, _m=model: _expit(mlp_predict(_m, s))
             return lambda s, _m=model: mlp_predict(_m, s)
-        if isinstance(cfg, LassoSpec):
-            link = "logistic" if kind == "propensity" else "identity"
-            lam = cfg.lam
-            if lam is None:
-                try:
-                    lam = select_lambda(x, y, link, grid_size=cfg.grid_size,
-                                        seed=_derive_seed(seed, 1), sample_weight=w)
-                except InputError as exc:  # the stratum is too small for the holdout split
-                    raise StratumError(str(exc)) from exc
-            fit = logistic_lasso_fit if link == "logistic" else lasso_fit
-            return fit(x, y, lam, sample_weight=w).predict
+        link = "logistic" if kind == "propensity" else "identity"  # a LassoSpec
+        lam = cfg.lam
+        if lam is None:
+            try:
+                lam = select_lambda(x, y, link, grid_size=cfg.grid_size,
+                                    seed=_derive_seed(seed, 1), sample_weight=w)
+            except InputError as exc:  # the stratum is too small for the holdout split
+                raise StratumError(str(exc)) from exc
+        fit = logistic_lasso_fit if link == "logistic" else lasso_fit
+        return fit(x, y, lam, sample_weight=w).predict
     except EstimationError as exc:
         raise type(exc)(f"{role}: {exc}") from exc
-    raise ConfigurationError(f"unknown learner config {cfg!r}")
 
 
 # ----------------------------------------------------------------- reports
@@ -192,8 +208,11 @@ class EstimateReport:
     learner_configs: dict = field(default_factory=dict)
 
 
-def _check_settings(seed, propensity_clip, alpha=0.05):
-    """Reject bad run settings before any nuisance is fit; make_folds checks K."""
+def _check_settings(seed, propensity_clip, alpha=0.05, **typed):
+    """Reject arguments of the wrong type, each given in ``typed`` as (value,
+    class), then bad run settings, before any nuisance is fit; make_folds checks K."""
+    for name, (value, cls) in typed.items():
+        _check_type(name, value, cls)
     _check_real("alpha", alpha, "(0, 1)")
     _check_real("propensity_clip", propensity_clip, "(0, 0.5)")
     _check_int("seed", seed, 0)
@@ -285,7 +304,8 @@ def estimate_ate(
     propensity_clip: float = PROPENSITY_CLIP,
 ) -> EstimateReport:
     """Cross-fitted mean of the bias-corrected outcome contrast."""
-    _check_settings(seed, propensity_clip, alpha)
+    _check_settings(seed, propensity_clip, alpha, data=(data, CateData),
+                    learners=(learners, LearnerSpec))
     plan = make_folds(data.n, n_folds, seed)
     _require(learners.mu, "mu")
     scores_by_fold = []
@@ -340,7 +360,8 @@ def estimate_cate(
     two effect networks are averaged.  If a half lacks a treatment arm the
     split is redrawn once with seed+1 before failing.
     """
-    _check_settings(seed, propensity_clip)
+    _check_settings(seed, propensity_clip, data=(data, CateData),
+                    learners=(learners, LearnerSpec), final_stage=(final_stage, MLPConfig))
     _require(learners.mu, "mu")
     for split_seed in (seed, seed + 1):
         idx_a, idx_b = _two_way_split(data.n, split_seed, "estimate_cate")
@@ -397,7 +418,8 @@ def estimate_mu_dr(
     fit and used to build corrected outcomes for the other half, where a
     network is fit with weights t1.  The swapped pair is averaged.
     """
-    _check_settings(seed, propensity_clip)
+    _check_settings(seed, propensity_clip, data=(data, DteData),
+                    learners=(learners, LearnerSpec), final_stage=(final_stage, MLPConfig))
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
     idx_a, idx_b = _two_way_split(data.n, _derive_seed(seed, 201), "estimate_mu_dr")
@@ -444,7 +466,10 @@ def estimate_dte(
     stage-two corrected outcomes with weights t1 (no nested split), so a
     FixedSpec injects its known function.
     """
-    _check_settings(seed, propensity_clip, alpha)
+    _check_settings(seed, propensity_clip, alpha, data=(data, DteData),
+                    learners=(learners, LearnerSpec), final_stage=(final_stage, MLPConfig))
+    if isinstance(learners.mu, tuple):
+        raise ConfigurationError("estimate_dte takes one mu config, not a (treated, control) pair")
     plan = make_folds(data.n, n_folds, seed)
     _require(learners.rho, "rho")
     _require(learners.nu, "nu")
@@ -500,6 +525,7 @@ def estimate_cde(
     levels at the same mediator level difference to a controlled direct
     effect.
     """
+    _check_type("data", data, DteData)
     relabelled = _relabel_cde(data, target)
     t_level, m_level = int(target[0]), int(target[1])  # plain ints for the report
     if not np.any(relabelled.t2):

@@ -439,6 +439,7 @@ _TOO_LARGE = " must be finite, got an integer too large for a float"
 _STUDY = "study must be one of ('orthogonality', 'coverage', 'rate_slope', 'double_robustness')"
 _ESTIMAND = "estimand must be one of ('ate', 'cate', 'dte', 'cde')"
 _PROBE = "probe applies only to estimate --estimand cate"
+_FAMILY = "learner_family applies only to estimate, diagnose coverage and diagnose rate_slope"
 _UTF8 = ": not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
 _ARMS = "fold 0: training data has a single t1 arm"  # the one refusal that exits 4
 _JSON, _NOT_OBJECT = "invalid config JSON: ", "config file must hold a JSON object"
@@ -569,12 +570,18 @@ _REFUSED = {
          {"t_level": 7}),
         ("reps", _DTE_OUT, "reps must be an integer in [1, 100000], got 0", {"reps": 0}),
         ("n_grid", _DTE_OUT, "n_grid[0] must be an integer >= 1, got 0", {"n_grid": [0, -1]})],
-    # string settings that simulate does not read, checked before they are embedded
+    # string settings that a run does not take or read, checked before they are embedded
     "test_refused_run_exits_with_one_line": [
         ("simulate_estimand", _SIM, _ESTIMAND + ", got 'banana'", {"estimand": "banana"}),
         ("simulate_study", _SIM, _STUDY + ", got 'x'", {"study": "x"}),
         ("simulate_learner_family", _SIM, "learner family must be one of "
-         "('lasso', 'mlp', 'oracle'), got 'y'", {"learner_family": "y"})],
+         "('lasso', 'mlp', 'oracle'), got 'y'", {"learner_family": "y"}),
+        ("estimate_oracle_family", "estimate --estimand ate --data no.csv", "learner family must "
+         "be one of ('lasso', 'mlp'), got 'oracle'", {"learner_family": "oracle"}),
+        *((f"{case}_{family}_family", run, _FAMILY, {"learner_family": family})
+          for case, run, family in (("simulate", _SIM, "mlp"),
+                                    ("orthogonality", "diagnose orthogonality", "oracle"),
+                                    ("double_robustness", "diagnose double_robustness", "mlp")))],
 }
 
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from refusals import refusal_tests
 from scipy.special import expit
 
 from drnets import estimators
@@ -175,12 +176,6 @@ def test_normal_quantile_reference_values():
     assert abs(normal_quantile(0.3) + normal_quantile(0.7)) <= 1e-12
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, 1.5, float("nan")])
-def test_normal_quantile_outside_unit_interval_is_named_error(q):
-    with pytest.raises(ConfigurationError, match=rf"q in \(0, 1\), got {q!r}"):
-        normal_quantile(q)
-
-
 def test_constant_learner_cross_fit_matches_manual_replay():
     """Replays the ATE pipeline by hand: fold constants come only from the
     training complement, scores only from the held-out fold."""
@@ -232,145 +227,130 @@ def test_report_dict_keys_and_json_determinism():
 # ------------------------------------------------------------ error paths
 
 
-def test_ate_single_arm_fold_error_names_fold():
-    rng = np.random.default_rng(12)
-    n = 30
-    data = CateData(rng.uniform(-1, 1, (n, 2)), np.zeros(n), rng.standard_normal(n))
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=ConstantSpec())
-    with pytest.raises(FoldError, match="fold 0"):
-        estimate_ate(data, learners, n_folds=3, seed=0)
-
-
-def test_cate_split_error_when_single_arm():
-    rng = np.random.default_rng(13)
-    n = 12
-    data = CateData(rng.uniform(-1, 1, (n, 2)), np.ones(n), rng.standard_normal(n))
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=ConstantSpec())
-    with pytest.raises(SplitError):
-        estimate_cate(data, learners, SMALL_FINAL, seed=0)
-
-
-def test_missing_roles_raise_configuration_error():
-    rng = np.random.default_rng(14)
-    n = 24
-    s = rng.uniform(-1, 1, (n, 2))
-    t = mixed_binary(rng, n, 0.5)
-    cdata = CateData(s, t, rng.standard_normal(n))
-    ddata = DteData(s, t, rng.uniform(-1, 1, (n, 1)), mixed_binary(rng, n, 0.5),
-                    rng.standard_normal(n))
-    spec = LearnerSpec(pi=FixedSpec(const_fn(0.5)))
-    with pytest.raises(ConfigurationError, match="mu"):
-        estimate_ate(cdata, spec, n_folds=2, seed=0)
-    with pytest.raises(ConfigurationError, match="rho"):
-        estimate_dte(ddata, spec, SMALL_FINAL, n_folds=2, seed=0)
-
-
-def test_alpha_must_lie_in_unit_interval():
-    rng = np.random.default_rng(15)
-    n = 30
-    data = CateData(rng.uniform(-1, 1, (n, 2)), mixed_binary(rng, n, 0.5),
-                    rng.standard_normal(n))
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=ConstantSpec())
-    with pytest.raises(ConfigurationError, match="alpha"):
-        estimate_ate(data, learners, n_folds=3, alpha=1.5, seed=0)
-
-
-@pytest.mark.parametrize("k", [2.5, np.float64(3.0), True, 1])
-def test_fold_count_must_be_an_integer_of_at_least_two(k):
-    """make_folds owns the rule, so every estimator rejects a bad K through it."""
-    rng = np.random.default_rng(15)
-    n = 30
-    data = CateData(rng.uniform(-1, 1, (n, 2)), mixed_binary(rng, n, 0.5),
-                    rng.standard_normal(n))
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), mu=ConstantSpec())
-    with pytest.raises(ConfigurationError, match="n_folds must be an integer >= 2"):
-        make_folds(n, k, 0)
-    with pytest.raises(ConfigurationError, match="n_folds must be an integer >= 2"):
-        estimate_ate(data, learners, n_folds=k, seed=0)
-
-
-def test_half_split_estimators_check_the_clip_before_any_fit(monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a nuisance was fit before propensity_clip was checked")
-
-    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
-    d, _ = gen_dte(DgpConfig(kind="dte_linear"), 80, 2)
-    cate = CateData(d.s1, d.t1, d.y)
-    lasso = LassoSpec(grid_size=4)
-    with pytest.raises(ConfigurationError, match="propensity_clip"):
-        estimate_cate(cate, LearnerSpec(pi=lasso, mu=lasso), SMALL_FINAL, propensity_clip=0.7)
-    with pytest.raises(ConfigurationError, match="propensity_clip"):
-        estimate_mu_dr(d, LearnerSpec(pi=lasso, rho=lasso, nu=lasso), SMALL_FINAL,
-                       propensity_clip=0.0)
-
-
-@pytest.mark.parametrize("seed", [-1, True, 1.5, np.float64(2.0), "3"])
-def test_every_estimator_checks_the_seed_before_any_fit(monkeypatch, seed):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a nuisance was fit before the seed was checked")
-
-    monkeypatch.setattr(estimators, "_fit_learner", no_fit)
-    monkeypatch.setattr(estimators, "mlp_fit", no_fit)
-    d, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
-    cate = CateData(d.s1, d.t1, d.y)
-    lasso = LassoSpec(grid_size=4)
-    learners = LearnerSpec(pi=lasso, mu=lasso, rho=lasso, nu=lasso)
-    runs = [lambda: make_folds(80, 5, seed),
-            lambda: estimate_ate(cate, learners, seed=seed),
-            lambda: estimate_cate(cate, learners, SMALL_FINAL, seed=seed),
-            lambda: estimate_mu_dr(d, learners, SMALL_FINAL, seed=seed),
-            lambda: estimate_dte(d, learners, SMALL_FINAL, seed=seed),
-            lambda: estimate_cde(d, (1, 1), learners, SMALL_FINAL, seed=seed)]
-    for run in runs:
-        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
-            run()
-
-
-def test_mu_dr_stratum_errors():
-    rng = np.random.default_rng(16)
-    n = 40
-    s1 = rng.uniform(-1, 1, (n, 2))
-    s2 = rng.uniform(-1, 1, (n, 1))
-    y = rng.standard_normal(n)
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)),
-                           rho=FixedSpec(const_fn(0.5)), nu=ConstantSpec())
-    all_control = DteData(s1, np.zeros(n), s2, mixed_binary(rng, n, 0.5), y)
-    with pytest.raises(StratumError, match="t1=1"):
-        estimate_mu_dr(all_control, learners, SMALL_FINAL, seed=0)
-    one_arm_t2 = DteData(s1, np.ones(n), s2, np.zeros(n), y)
-    with pytest.raises(StratumError):
-        estimate_mu_dr(one_arm_t2, learners, SMALL_FINAL, seed=0)
-
-
-def test_dte_fold_error_on_single_t1_arm():
-    rng = np.random.default_rng(17)
-    n = 40
-    data = DteData(rng.uniform(-1, 1, (n, 2)), np.ones(n), rng.uniform(-1, 1, (n, 1)),
-                   mixed_binary(rng, n, 0.5), rng.standard_normal(n))
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), rho=FixedSpec(const_fn(0.5)),
-                           nu=ConstantSpec(), mu=ConstantSpec())
-    with pytest.raises(FoldError, match="fold 0"):
-        estimate_dte(data, learners, SMALL_FINAL, n_folds=2, seed=0)
-
-
-def test_cde_requires_mediator_and_observed_level():
-    rng = np.random.default_rng(18)
-    n = 40
-    s1 = rng.uniform(-1, 1, (n, 2))
-    s2 = rng.uniform(-1, 1, (n, 1))
-    t1 = mixed_binary(rng, n, 0.5)
-    m = mixed_binary(rng, n, 0.5)
-    y = rng.standard_normal(n)
-    learners = LearnerSpec(pi=FixedSpec(const_fn(0.5)), rho=FixedSpec(const_fn(0.5)),
-                           nu=ConstantSpec(), mu=ConstantSpec())
-    with pytest.raises(InputError, match="mediator"):
-        estimate_cde(DteData(s1, t1, s2, m, y), (1, 1), learners, SMALL_FINAL,
-                     n_folds=2, seed=0)
-    data = DteData(s1, t1, s2, m.copy(), y, m=m)
-    with pytest.raises(StratumError, match="m=2"):
-        estimate_cde(data, (1, 2), learners, SMALL_FINAL, n_folds=2, seed=0)
-    with pytest.raises(ConfigurationError, match="exposure"):
-        estimate_cde(data, (3, 1), learners, SMALL_FINAL, n_folds=2, seed=0)
+_D, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
+_Z, _C = np.zeros(80), CateData(_D.s1, _D.t1, _D.y)
+_C0, _C1 = (CateData(_D.s1, t, _D.y) for t in (_Z, _Z + 1))  # a single treatment arm
+_D0, _D1, _D10, _NO_M = (DteData(_D.s1, t1, _D.s2, t2, _D.y) for t1, t2 in (
+    (_Z, _D.t2), (_Z + 1, _D.t2), (_Z + 1, _Z), (_D.t1, _D.t2)))
+_L, _HALF, _F = LassoSpec(grid_size=4), FixedSpec(const_fn(0.5)), SMALL_FINAL
+_LASSO, _NESTED = LearnerSpec(pi=_L, mu=_L, rho=_L, nu=_L), LearnerSpec(pi=_L, rho=_L, nu=_L)
+_FIXED = LearnerSpec(pi=_HALF, mu=ConstantSpec(), rho=_HALF, nu=ConstantSpec())
+_UNFIT = DteNuisance(*[lambda s: pytest.fail("a nuisance was evaluated")] * 4)
+_E, _T, _M = (ConfigurationError, "exposure level must be an integer in [0, 1], got ",
+              f"mediator level must be an integer in [{-2**53}, {2**53}], got ")
+_CLIP, _PAIR = "propensity_clip must lie in (0, 0.5), got ", "target must be a pair (t, m), got "
+_FINAL, _N = "final_stage must be MLPConfig, got ", "n_total must be an integer >= 0, got "
+_MISSING, _DATA = "LearnerSpec is missing the ", "data must be DteData, got CateData"
+_TYPES = "MLPConfig, LassoSpec, ConstantSpec or FixedSpec, got str"
+# The refused calls by test name, in rows that tests/refusals.py states.
+_REFUSED = {
+    "test_normal_quantile_outside_unit_interval_is_named_error": [
+        (str(q), lambda q=q: normal_quantile(q), _E,
+         f"normal quantile needs q in (0, 1), got {q!r}") for q in (0.0, 1.0, 1.5, float("nan"))],
+    "test_ate_single_arm_fold_error_names_fold": [(
+        lambda: estimate_ate(_C0, _FIXED, 3), FoldError,
+        "fold 0: training data has a single treatment arm")],
+    "test_cate_split_error_when_single_arm": [(
+        lambda: estimate_cate(_C1, _FIXED, _F), SplitError,
+        "both split attempts left a half with a single arm")],
+    "test_missing_roles_raise_configuration_error": [
+        (lambda: estimate_ate(_C, LearnerSpec(_HALF), 2), _E, _MISSING + "'mu' role"),
+        (lambda: estimate_dte(_D, LearnerSpec(_HALF), _F, 2), _E, _MISSING + "'rho' role")],
+    "test_alpha_must_lie_in_unit_interval": [
+        (lambda: estimate_ate(_C, _FIXED, 3, alpha=1.5), _E, "alpha must lie in (0, 1), got 1.5")],
+    # make_folds owns the rule, so every estimator rejects a bad K through it
+    "test_fold_count_must_be_an_integer_of_at_least_two": [
+        (str(k), call, _E, f"n_folds must be an integer >= 2, got {k!r}")
+        for k in (2.5, np.float64(3.0), True, 1)
+        for call in (lambda k=k: make_folds(80, k, 0), lambda k=k: estimate_ate(_C, _FIXED, k))],
+    "test_half_split_estimators_check_the_clip_before_any_fit": [
+        (lambda: estimate_cate(_C, _LASSO, _F, propensity_clip=0.7), _E, _CLIP + "0.7"),
+        (lambda: estimate_mu_dr(_D, _LASSO, _F, propensity_clip=0.0), _E, _CLIP + "0.0")],
+    "test_every_estimator_checks_the_seed_before_any_fit": [
+        (str(s), lambda run=run, s=s: run(s), _E, f"seed must be an integer >= 0, got {s!r}")
+        for s in (-1, True, 1.5, np.float64(2.0), "3")
+        for run in (lambda s: make_folds(80, 5, s), lambda s: estimate_ate(_C, _LASSO, seed=s),
+                    lambda s: estimate_cate(_C, _LASSO, _F, seed=s),
+                    lambda s: estimate_mu_dr(_D, _LASSO, _F, seed=s),
+                    lambda s: estimate_dte(_D, _LASSO, _F, seed=s),
+                    lambda s: estimate_cde(_D, (1, 1), _LASSO, _F, seed=s))],
+    "test_mu_dr_stratum_errors": [
+        (lambda: estimate_mu_dr(_D0, _FIXED, _F), StratumError,
+         "nuisance half 1: t1=1 stratum is empty"),
+        (lambda: estimate_mu_dr(_D10, _FIXED, _F), StratumError,
+         "nuisance half 1: t1=1 stratum lacks both t2 arms")],
+    "test_dte_fold_error_on_single_t1_arm": [(
+        lambda: estimate_dte(_D1, _FIXED, _F, 2), FoldError,
+        "fold 0: training data has a single t1 arm")],
+    "test_cde_requires_mediator_and_observed_level": [
+        (lambda: estimate_cde(_NO_M, (1, 1), _FIXED, _F, 2), InputError,
+         "the CDE requires data with a mediator column"),
+        (lambda: estimate_cde(_D, (1, 2), _FIXED, _F, 2), StratumError,
+         "mediator level m=2 never occurs in the data"),
+        (lambda: estimate_cde(_D, (3, 1), _FIXED, _F, 2), _E, _T + "3")],
+    "test_config_fields_reject_wrong_types_at_construction": [
+        (f"{cls.__name__}-kwargs{i}-{message}", lambda cls=cls, kw=kw: cls(**kw), _E, message)
+        for i, (cls, kw, message) in enumerate([
+            (MLPConfig, {"depth": True}, "depth must be an integer >= 1, got True"),
+            (MLPConfig, {"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
+            (MLPConfig, {"width": 2.5}, "width must be an integer >= 1, got 2.5"),
+            (MLPConfig, {"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5"),
+            (MLPConfig, {"step_size": "0.1"}, "step_size must be a number, got '0.1'"),
+            (MLPConfig, {"clamp_bound": np.inf}, "clamp_bound must be finite, got inf"),
+            (MLPConfig, {"seed": -1}, "seed must be an integer >= 0, got -1"),
+            (LassoSpec, {"grid_size": 2.5}, "grid_size must be an integer >= 2, got 2.5"),
+            (LassoSpec, {"lam": "0.1"}, "lam must be a number, got '0.1'"),
+            (ConstantSpec, {"value": float("nan")}, "value must be finite, got nan"),
+            (ConstantSpec, {"value": "1"}, "value must be a number, got '1'"),
+            (ConstantSpec, {"value": True}, "value must be a number, got True")])],
+    # checked where the data is relabelled, so cde_score rejects a target as estimate_cde does
+    "test_cde_target_is_checked_before_any_fit": [
+        (f"{t if t == 1 else f'target{i}'}-{message}", call, _E, message)
+        for i, (t, message) in enumerate([
+            ((1.5, 1), _T + "1.5"), ((True, 1), _T + "True"), (("1", 1), _T + "'1'"),
+            ((2, 1), _T + "2"), ((1, 1.5), _M + "1.5"), ((1, 1, 0), _PAIR + "(1, 1, 0)"),
+            (1, _PAIR + "1"), ((1, 10**400), _M + str(10**400))])
+        for call in (lambda t=t: estimate_cde(_D, t, _NESTED, _F, 2),
+                     lambda t=t: cde_score(_D, t, _UNFIT))],
+    # a wrong type is named, never met as a bare TypeError or AttributeError inside a fit
+    "test_api_arguments_of_the_wrong_type_are_named_before_any_fit": [
+        ("alpha", lambda: estimate_ate(_C, _LASSO, alpha="0.05"), _E,
+         "alpha must be a number, got '0.05'"),
+        ("propensity_clip", lambda: estimate_ate(_C, _LASSO, propensity_clip=None), _E,
+         "propensity_clip must be a number, got None"),
+        ("nuisance_clip", lambda: CateNuisance(_HALF.fn, _HALF.fn, _HALF.fn, propensity_clip="x"),
+         _E, "propensity_clip must be a number, got 'x'"),
+        ("grid_size", lambda: select_lambda(_D.s1, _D.y, grid_size="4"), _E,
+         "grid_size must be an integer >= 2, got '4'"),
+        ("lam", lambda: lasso_fit(_D.s1, _D.y, lam="0.1"), _E, "lam must be a number, got '0.1'"),
+        ("n_mc", lambda: oracle_theta(DgpConfig(kind="cate_linear"), "20000", 0), _E,
+         "n_mc must be an integer >= 10000, got '20000'"),
+        ("reps", lambda: coverage_study(DgpConfig(kind="dte_linear"), reps="100"), _E,
+         "reps must be an integer in [100, 100000], got '100'"),
+        ("n", lambda: orthogonality_study(DgpConfig(kind="cate_sparse_smooth"), 0.3, "100", 0),
+         _E, "n must be an integer >= 2, got '100'"),
+        ("n_total_float", lambda: make_folds(10.0, 2, 0), _E, _N + "10.0"),
+        ("n_total_string", lambda: make_folds("10", 2, 0), _E, _N + "'10'"),
+        ("n_total_bool", lambda: make_folds(True, 2, 0), _E, _N + "True"),
+        ("cate_final_stage", lambda: estimate_cate(_C, _LASSO, _L), _E, _FINAL + "LassoSpec"),
+        ("mu_dr_final_stage", lambda: estimate_mu_dr(_D, _NESTED, None), _E, _FINAL + "NoneType"),
+        ("dte_final_stage", lambda: estimate_dte(_D, _NESTED, "mlp", 2), _E, _FINAL + "str"),
+        ("rho_string", lambda: estimate_dte(_D, replace(_NESTED, rho="lasso"), _F), _E,
+         "LearnerSpec.rho must be " + _TYPES),
+        ("dte_mu_pair", lambda: estimate_dte(_D, replace(_NESTED, mu=(_L, _L)), _F), _E,
+         "estimate_dte takes one mu config, not a (treated, control) pair"),
+        ("mu_triple", lambda: estimate_dte(_D, replace(_NESTED, mu=(_L, _L, _L)), _F), _E,
+         "mu pair must be (treated, control) configs"),
+        ("mu_arm_string", lambda: estimate_ate(_C, replace(_LASSO, mu=(_L, "lasso"))), _E,
+         "LearnerSpec.mu must be " + _TYPES),
+        ("fn_not_callable", lambda: estimate_ate(_C, replace(_LASSO, pi=FixedSpec(0.5))), _E,
+         "fn must be callable, got 0.5"),
+        ("ate_dte_data", lambda: estimate_ate(_D, _LASSO), _E,
+         "data must be CateData, got DteData"),
+        ("dte_cate_data", lambda: estimate_dte(_C, _NESTED, _F), _E, _DATA),
+        ("cde_cate_data", lambda: estimate_cde(_C, (1, 1), _NESTED, _F), _E, _DATA)],
+}
+refusal_tests(_REFUSED, globals())
 
 
 @pytest.mark.parametrize("mu", [None, LassoSpec(grid_size=4)])
@@ -412,25 +392,6 @@ def test_tiny_nested_stratum_is_a_stratum_error_naming_the_fold():
     learners = LearnerSpec(pi=ConstantSpec(), rho=ConstantSpec(), nu=ConstantSpec())
     with pytest.raises(StratumError, match="^fold 0 mu: estimate_mu_dr needs at least 4 rows"):
         estimate_dte(data, learners, SMALL_FINAL, n_folds=2, seed=1)
-
-
-@pytest.mark.parametrize("cls,kwargs,message", [
-    (MLPConfig, {"depth": True}, "depth must be an integer >= 1, got True"),
-    (MLPConfig, {"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
-    (MLPConfig, {"width": 2.5}, "width must be an integer >= 1, got 2.5"),
-    (MLPConfig, {"batch_size": 2.5}, "batch_size must be an integer >= 1, got 2.5"),
-    (MLPConfig, {"step_size": "0.1"}, "step_size must be a number, got '0.1'"),
-    (MLPConfig, {"clamp_bound": np.inf}, "clamp_bound must be finite, got inf"),
-    (MLPConfig, {"seed": -1}, "seed must be an integer >= 0, got -1"),
-    (LassoSpec, {"grid_size": 2.5}, "grid_size must be an integer >= 2, got 2.5"),
-    (LassoSpec, {"lam": "0.1"}, "lam must be a number, got '0.1'"),
-    (ConstantSpec, {"value": float("nan")}, "value must be finite, got nan"),
-    (ConstantSpec, {"value": "1"}, "value must be a number, got '1'"),
-    (ConstantSpec, {"value": True}, "value must be a number, got True"),
-])
-def test_config_fields_reject_wrong_types_at_construction(cls, kwargs, message):
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        cls(**kwargs)
 
 
 @pytest.mark.parametrize("estimand", ["ate", "dte"])
@@ -484,64 +445,6 @@ def test_non_finite_pseudo_outcomes_fail_naming_the_half_and_role(path, message)
     with pytest.raises(EstimationError, match=f"^{re.escape(message)}$") as info:
         runs[path]()
     assert type(info.value) is EstimationError
-
-
-def _no_fit(*args, **kwargs):
-    raise AssertionError("a model was fit before the settings were checked")
-
-
-@pytest.mark.parametrize("target,message", [
-    ((1.5, 1), "exposure level must be an integer in [0, 1], got 1.5"),
-    ((True, 1), "exposure level must be an integer in [0, 1], got True"),
-    (("1", 1), "exposure level must be an integer in [0, 1], got '1'"),
-    ((2, 1), "exposure level must be an integer in [0, 1], got 2"),
-    ((1, 1.5), f"mediator level must be an integer in [{-2**53}, {2**53}], got 1.5"),
-    ((1, 1, 0), "target must be a pair (t, m), got (1, 1, 0)"),
-    (1, "target must be a pair (t, m), got 1"),
-    ((1, 10**400), f"mediator level must be an integer in [{-2**53}, {2**53}], got {10**400}"),
-])
-def test_cde_target_is_checked_before_any_fit(monkeypatch, target, message):
-    """The rule sits where the data is relabelled, so ``cde_score`` rejects a
-    target as ``estimate_cde`` does, before any nuisance is evaluated."""
-    monkeypatch.setattr(estimators, "_fit_learner", _no_fit)
-    monkeypatch.setattr(estimators, "mlp_fit", _no_fit)
-    d, _ = gen_dte(DgpConfig(kind="cde_binary"), 80, 2)
-    lasso = LassoSpec(grid_size=4)
-    learners = LearnerSpec(pi=lasso, rho=lasso, nu=lasso)
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-        estimate_cde(d, target, learners, SMALL_FINAL, n_folds=2)
-    nuis = DteNuisance(pi=_no_fit, rho=_no_fit, nu=_no_fit, mu=_no_fit)
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-        cde_score(d, target, nuis)
-
-
-_LASSO_PAIR = LearnerSpec(pi=LassoSpec(grid_size=4), mu=LassoSpec(grid_size=4))
-
-
-@pytest.mark.parametrize("name,run", [
-    ("alpha", lambda d: estimate_ate(CateData(d.s1, d.t1, d.y), _LASSO_PAIR, alpha="0.05")),
-    ("propensity_clip", lambda d: estimate_ate(CateData(d.s1, d.t1, d.y), _LASSO_PAIR,
-                                               propensity_clip=None)),
-    ("propensity_clip", lambda d: CateNuisance(const_fn(0.5), const_fn(0.0), const_fn(0.0),
-                                               propensity_clip="x")),
-    ("grid_size", lambda d: select_lambda(d.s1, d.y, grid_size="4")),
-    ("lam", lambda d: lasso_fit(d.s1, d.y, lam="0.1")),
-    ("n_mc", lambda d: oracle_theta(DgpConfig(kind="cate_linear"), "20000", 0)),
-    ("reps", lambda d: coverage_study(DgpConfig(kind="dte_linear"), reps="100")),
-    ("n", lambda d: orthogonality_study(DgpConfig(kind="cate_sparse_smooth"), 0.3, "100", 0)),
-    ("n_total", lambda d: make_folds(10.0, 2, 0)),
-    ("n_total", lambda d: make_folds("10", 2, 0)),
-    ("n_total", lambda d: make_folds(True, 2, 0)),
-], ids=["alpha", "propensity_clip", "nuisance_clip", "grid_size", "lam", "n_mc", "reps", "n",
-        "n_total_float", "n_total_string", "n_total_bool"])
-def test_api_arguments_of_the_wrong_type_are_named_before_any_fit(monkeypatch, name, run):
-    """A string or None where a number belongs is a ConfigurationError that
-    names the setting, not a bare TypeError from deep inside a fit."""
-    monkeypatch.setattr(estimators, "_fit_learner", _no_fit)
-    monkeypatch.setattr(estimators, "mlp_fit", _no_fit)
-    d, _ = gen_dte(DgpConfig(kind="dte_linear"), 80, 2)
-    with pytest.raises(ConfigurationError, match=f"^{name} must be "):
-        run(d)
 
 
 def _column(fn):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from refusals import refusal_tests
 from scipy.special import expit
 
 from drnets import linmod
@@ -234,21 +235,6 @@ def test_zero_weight_rows_inert():
     assert a.intercept == pytest.approx(b.intercept, rel=1e-12)
 
 
-def test_all_zero_weights_and_bad_inputs():
-    x = np.zeros((4, 2))
-    y = np.zeros(4)
-    with pytest.raises(EmptySubgroupError):
-        lasso_fit(x, y, 0.1, sample_weight=np.zeros(4))
-    with pytest.raises(EmptySubgroupError):
-        logistic_lasso_fit(x, y, 0.1, sample_weight=np.zeros(4))
-    with pytest.raises(InputError):
-        lasso_fit(x, y, 0.1, sample_weight=-np.ones(4))
-    with pytest.raises(InputError):
-        lasso_fit(x, y[:2], 0.1)
-    with pytest.raises(ConfigurationError):
-        lasso_fit(x, y, -0.5)
-
-
 # ----------------------------------------------------- logistic_lasso_fit
 
 
@@ -286,18 +272,6 @@ def test_logistic_objective_trace_non_increasing():
     m = logistic_lasso_fit(x, y, 0.02)
     trace = np.array(m.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
-
-
-def test_single_class_raises_separation():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(-1, 1, (20, 2))
-    with pytest.raises(SeparationError):
-        logistic_lasso_fit(x, np.ones(20), 0.1)
-    # Both classes exist but one carries zero weight.
-    y = np.array([1.0] * 10 + [0.0] * 10)
-    w = np.array([1.0] * 10 + [0.0] * 10)
-    with pytest.raises(SeparationError):
-        logistic_lasso_fit(x, y, 0.1, sample_weight=w)
 
 
 def test_logistic_separable_small_sample_reaches_stationarity():
@@ -345,15 +319,6 @@ def test_probability_clipping():
     probs = m.predict(np.array([[1.0], [-1.0]]))
     assert probs[0] == 1.0 - 1e-6
     assert probs[1] == 1e-6
-
-
-def test_predict_checks_x():
-    beta = np.array([1.0, -1.0, 0.5])
-    beta.flags.writeable = False
-    m = LinearModel(beta, 0.0, "identity", 0.0)
-    for x in (np.ones((2, 5)), np.array([[0.1, np.nan, 0.2]]), np.ones(3)):
-        with pytest.raises(InputError):
-            m.predict(x)
 
 
 # ------------------------------------------------------- both links
@@ -685,19 +650,45 @@ def test_select_lambda_grid_floor_follows_training_rows(monkeypatch, n, p, floor
     assert lams[-1] == pytest.approx(lams[0] * floor, rel=1e-12)
 
 
-def test_select_lambda_counts_positive_weight_rows():
-    """The 80/20 holdout is drawn over the positive-weight rows alone."""
-    rng = np.random.default_rng(42)
-    x = rng.uniform(-1, 1, (50, 2))
-    w = np.zeros(50)
-    w[[3, 20, 41]] = 1.0
-    with pytest.raises(InputError, match=r"need at least 5 rows .*got 3"):
-        select_lambda(x, rng.normal(size=50), sample_weight=w)
-
-
 def test_select_lambda_logistic_runs():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1, 1, (80, 3))
     y = (rng.random(80) < expit(1.5 * x[:, 0])).astype(float)
     lam = select_lambda(x, y, "logistic", grid_size=6, seed=1)
     assert lam > 0
+
+
+# ---------------------------------------------------------- refused calls
+
+_X, _Y, _X20 = np.zeros((4, 2)), np.zeros(4), np.random.default_rng(9).uniform(-1, 1, (20, 2))
+_HALF = np.repeat([1.0, 0.0], 10)  # both classes exist, but one carries zero weight
+_BETA = np.array([1.0, -1.0, 0.5])
+_BETA.flags.writeable = False
+_X50, _W50 = np.random.default_rng(42).uniform(-1, 1, (50, 2)), np.isin(np.arange(50), [3, 20, 41])
+_ONE_CLASS = "logistic fit needs both classes among weighted rows"
+# The refused calls by test name, in rows that tests/refusals.py states.
+_REFUSED = {
+    "test_all_zero_weights_and_bad_inputs": [
+        (lambda: lasso_fit(_X, _Y, 0.1, sample_weight=_Y), EmptySubgroupError,
+         "all sample weights are zero"),
+        (lambda: logistic_lasso_fit(_X, _Y, 0.1, sample_weight=_Y), EmptySubgroupError,
+         "all sample weights are zero"),
+        (lambda: lasso_fit(_X, _Y, 0.1, sample_weight=_Y - 1), InputError,
+         "sample weights must be finite and non-negative"),
+        (lambda: lasso_fit(_X, _Y[:2], 0.1), InputError, "y must have shape (4,), got (2,)"),
+        (lambda: lasso_fit(_X, _Y, -0.5), ConfigurationError, "lam must lie in [0, inf), got -0.5")],
+    "test_single_class_raises_separation": [
+        (lambda: logistic_lasso_fit(_X20, np.ones(20), 0.1), SeparationError, _ONE_CLASS),
+        (lambda: logistic_lasso_fit(_X20, _HALF, 0.1, sample_weight=_HALF), SeparationError,
+         _ONE_CLASS)],
+    "test_predict_checks_x": [
+        (lambda x=x: LinearModel(_BETA, 0.0, "identity", 0.0).predict(x), InputError, message)
+        for x, message in ((np.ones((2, 5)), "x has 5 columns, model expects 3"),
+                           (np.array([[0.1, np.nan, 0.2]]), "x contains non-finite values"),
+                           (np.ones(3), "x must be 2-D (n, p), got shape (3,)"))],
+    # the 80/20 holdout is drawn over the positive-weight rows alone
+    "test_select_lambda_counts_positive_weight_rows": [
+        (lambda: select_lambda(_X50, np.zeros(50), sample_weight=_W50), InputError,
+         "need at least 5 rows to split 80/20, got 3")],
+}
+refusal_tests(_REFUSED, globals())

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from refusals import refusal_tests
 
 from drnets.errors import (
     ConfigurationError,
@@ -131,19 +132,6 @@ def test_parameter_count_formula(depth, width, p):
     assert m.n_parameters == expected
 
 
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        MLPConfig(depth=0)
-    with pytest.raises(ConfigurationError):
-        MLPConfig(loss="hinge")
-    with pytest.raises(ConfigurationError):
-        MLPConfig(validation_fraction=0.6)
-    with pytest.raises(ConfigurationError):
-        MLPConfig(clamp_bound=0.0)
-    with pytest.raises(ConfigurationError):
-        MLPConfig(step_size=0.0)
-
-
 # ------------------------------------------------------------- mlp_predict
 
 
@@ -246,20 +234,6 @@ def test_gradient_zero_beyond_clamp():
     del cfg
 
 
-def test_loss_grad_rejects_column_target():
-    m = mlp_init(MLPConfig(depth=1, width=2, clamp_bound=1.0), 2)
-    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
-    with pytest.raises(InputError, match="y must have shape"):
-        mlp_loss_grad(m, x, np.zeros((4, 1)))
-
-
-def test_loss_grad_rejects_nan_target():
-    m = mlp_init(MLPConfig(depth=1, width=2, clamp_bound=1.0), 2)
-    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
-    with pytest.raises(InputError, match="non-finite"):
-        mlp_loss_grad(m, x, np.array([0.0, np.nan, 1.0, 0.5]))
-
-
 def test_weighted_gradient_is_weighted_average():
     rng = np.random.default_rng(9)
     m = mlp_init(MLPConfig(depth=2, width=3, seed=4, clamp_bound=20.0), 2)
@@ -286,16 +260,9 @@ def test_loss_grad_zero_weight_row_changes_nothing():
         kept_value, kept_gw, kept_gb = mlp_loss_grad(m, x[:2], y[:2], np.ones(2))
         assert value == kept_value
         assert flat_params(gw, gb).tobytes() == flat_params(kept_gw, kept_gb).tobytes()
-
-
-def test_loss_grad_checks_logistic_labels():
-    m = mlp_init(MLPConfig(depth=1, width=2, loss="logistic", clamp_bound=1.0), 2)
-    x = np.random.default_rng(3).uniform(-1, 1, (4, 2))
-    y = np.array([0.0, 1.0, 7.0, 1.0])
-    with pytest.raises(InputError, match="0/1"):
-        mlp_loss_grad(m, x, y)
-    # Labels are checked on the rows that carry weight.
-    mlp_loss_grad(m, x, y, np.array([1.0, 1.0, 0.0, 1.0]))
+    # Nor is a zero-weight row's logistic label checked.
+    logistic = mlp_init(MLPConfig(depth=1, width=2, loss="logistic", clamp_bound=1.0), 2)
+    mlp_loss_grad(logistic, x, np.array([0.0, 1.0, 7.0]), np.array([1.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
@@ -460,14 +427,6 @@ def test_weight_scaling_invariance():
     assert_allclose(flat_params(gw1, gb1), flat_params(gw3, gb3), rtol=1e-10, atol=1e-14)
 
 
-def test_all_zero_weights_raises():
-    x, y = _toy_problem(n=10)
-    with pytest.raises(EmptySubgroupError):
-        mlp_fit(x, y, MLPConfig(), sample_weight=np.zeros(10))
-    with pytest.raises(EmptySubgroupError):
-        mlp_loss_grad(mlp_init(MLPConfig(), 3), x, y, np.zeros(10))
-
-
 def test_divergence_names_epoch():
     x, y = _toy_problem(n=30)
     cfg = MLPConfig(depth=2, width=8, epochs=50, batch_size=8, step_size=1e160, seed=0)
@@ -515,12 +474,6 @@ def test_default_clamp_bound_from_targets():
     # Degenerate all-zero targets fall back to the floor of 1.0.
     m0 = mlp_fit(x, np.zeros(30), MLPConfig(depth=1, width=4, epochs=5, seed=0))
     assert m0.config.clamp_bound == 1.0
-
-
-def test_logistic_targets_validated():
-    x, _ = _toy_problem(n=20)
-    with pytest.raises(InputError):
-        mlp_fit(x, np.full(20, 0.5), MLPConfig(loss="logistic"))
 
 
 # --------------------------------------------------------- logistic helper
@@ -585,3 +538,35 @@ def test_expit_extremes_raise_no_warning():
         out = _expit(x)
     assert (out[:4] <= 1.3e-308).all()
     assert (out[4:] == 1.0).all()
+
+
+# ---------------------------------------------------------- refused calls
+
+_NET, _NET3 = mlp_init(MLPConfig(depth=1, width=2, clamp_bound=1.0), 2), mlp_init(MLPConfig(), 3)
+_LOGISTIC = mlp_init(MLPConfig(depth=1, width=2, loss="logistic", clamp_bound=1.0), 2)
+_X4, (_X10, _Y10), (_X20, _) = (np.random.default_rng(3).uniform(-1, 1, (4, 2)),
+                                _toy_problem(n=10), _toy_problem(n=20))
+# The refused calls by test name, in rows that tests/refusals.py states.
+_REFUSED = {
+    "test_config_validation": [
+        (lambda kw=kw: MLPConfig(**kw), ConfigurationError, message) for kw, message in (
+            ({"depth": 0}, "depth must be an integer >= 1, got 0"),
+            ({"loss": "hinge"}, "loss must be one of ('square', 'logistic'), got 'hinge'"),
+            ({"validation_fraction": 0.6}, "validation_fraction must lie in [0, 0.5], got 0.6"),
+            ({"clamp_bound": 0.0}, "clamp_bound must lie in (0, inf), got 0.0"),
+            ({"step_size": 0.0}, "step_size must lie in (0, inf), got 0.0"))],
+    "test_loss_grad_rejects_column_target": [(lambda: mlp_loss_grad(
+        _NET, _X4, np.zeros((4, 1))), InputError, "y must have shape (4,), got (4, 1)")],
+    "test_loss_grad_rejects_nan_target": [(lambda: mlp_loss_grad(
+        _NET, _X4, np.array([0.0, np.nan, 1.0, 0.5])), InputError, "y contains non-finite values")],
+    "test_loss_grad_checks_logistic_labels": [(lambda: mlp_loss_grad(
+        _LOGISTIC, _X4, np.array([0.0, 1.0, 7.0, 1.0])), InputError, "y must be coded 0/1")],
+    "test_all_zero_weights_raises": [
+        (lambda: mlp_fit(_X10, _Y10, MLPConfig(), sample_weight=0 * _Y10), EmptySubgroupError,
+         "all sample weights are zero"),
+        (lambda: mlp_loss_grad(_NET3, _X10, _Y10, 0 * _Y10), EmptySubgroupError,
+         "all sample weights are zero")],
+    "test_logistic_targets_validated": [(lambda: mlp_fit(
+        _X20, np.full(20, 0.5), MLPConfig(loss="logistic")), InputError, "y must be coded 0/1")],
+}
+refusal_tests(_REFUSED, globals())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from refusals import refusal_tests
 from scipy.special import expit
 
 from drnets.errors import ConfigurationError, InputError
@@ -72,30 +73,7 @@ def test_make_folds_seed_behavior():
     assert sizes.max() - sizes.min() <= 1
 
 
-def test_make_folds_validation():
-    with pytest.raises(ConfigurationError):
-        make_folds(3, 5, seed=0)
-    with pytest.raises(ConfigurationError):
-        make_folds(10, 1, seed=0)
-
-
 # -------------------------------------------------------------- containers
-
-
-def test_container_validation():
-    with pytest.raises(InputError):
-        CateData(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]), np.zeros(3))
-    with pytest.raises(InputError):
-        CateData(np.full((3, 2), 1.5), np.zeros(3), np.zeros(3))
-    with pytest.raises(InputError):
-        CateData(np.zeros((3, 2)), np.zeros(3), np.array([0.0, np.nan, 0.0]))
-    with pytest.raises(InputError):
-        DteData(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)), np.zeros(3), np.zeros(3))
-    with pytest.raises(InputError):
-        DteData(
-            np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3), np.zeros(3),
-            m=np.array([0.0, 0.5, 1.0]),
-        )
 
 
 def _rows(cls):
@@ -141,15 +119,37 @@ _ROW_FAULTS = [
     (DteData, "m", _short, "m must have shape (3,), got (2,)"),
 ]
 
-
-@pytest.mark.parametrize("cls, field, fault, message", _ROW_FAULTS,
-                         ids=[f"{c.__name__}-{f}-{m}" for c, f, _, m in _ROW_FAULTS])
-def test_row_contract_names_each_fault(cls, field, fault, message):
-    rows = _rows(cls)
-    rows[field] = fault(rows[field])
-    with pytest.raises(InputError) as exc:
-        cls(**rows)
-    assert str(exc.value) == message
+_S, _Z = np.zeros((3, 2)), np.zeros(3)
+_NUIS = DteNuisance(pi=const(0.5), rho=const(0.5), nu=const(0.0), mu=const(0.0))
+_NO_M = rand_dte(np.random.default_rng(6), 5)
+_E, _CLIP = ConfigurationError, "propensity_clip must lie in (0, 0.5), got "
+# The refused calls by test name, in rows that tests/refusals.py states.
+_REFUSED = {
+    "test_make_folds_validation": [
+        (lambda: make_folds(3, 5, seed=0), _E, "need at least n_folds=5 rows, got 3"),
+        (lambda: make_folds(10, 1, seed=0), _E, "n_folds must be an integer >= 2, got 1")],
+    "test_container_validation": [
+        (lambda: CateData(_S, np.array([0.0, 1.0, 2.0]), _Z), InputError, "t must be coded 0/1"),
+        (lambda: CateData(_S + 1.5, _Z, _Z), InputError,
+         "s has entries outside the covariate support [-1, 1]"),
+        (lambda: CateData(_S, _Z, np.array([0.0, np.nan, 0.0])), InputError,
+         "y contains non-finite values"),
+        (lambda: DteData(_S, _Z, _S[:2], _Z, _Z), InputError,
+         "s1 and s2 must have the same number of rows"),
+        (lambda: DteData(_S, _Z, _S, _Z, _Z, m=np.array([0.0, 0.5, 1.0])), InputError,
+         "m must hold integer mediator levels")],
+    "test_row_contract_names_each_fault": [
+        (f"{cls.__name__}-{field}-{message}", lambda cls=cls, kw={**_rows(cls), field: fault(
+            _rows(cls)[field])}: cls(**kw), InputError, message)
+        for cls, field, fault, message in _ROW_FAULTS],
+    "test_propensity_clip_validation": [
+        (lambda c=c: CateNuisance(const(0.5), const(0.0), const(0.0), propensity_clip=c), _E,
+         _CLIP + str(c)) for c in (0.0, 0.5)],
+    "test_cde_score_requires_mediator": [
+        (lambda: cde_score(_NO_M, (1, 1), _NUIS), InputError,
+         "the CDE requires data with a mediator column")],
+}
+refusal_tests(_REFUSED, globals())
 
 
 def test_sbar2_concatenates_history():
@@ -158,13 +158,6 @@ def test_sbar2_concatenates_history():
     assert d.sbar2.shape == (5, 4)
     assert_allclose(d.sbar2[:, :2], d.s1)
     assert_allclose(d.sbar2[:, 2:], d.s2)
-
-
-def test_propensity_clip_validation():
-    with pytest.raises(ConfigurationError):
-        CateNuisance(const(0.5), const(0.0), const(0.0), propensity_clip=0.0)
-    with pytest.raises(ConfigurationError):
-        CateNuisance(const(0.5), const(0.0), const(0.0), propensity_clip=0.5)
 
 
 # ------------------------------------------------------------ cate scores
@@ -262,14 +255,6 @@ def test_cde_score_by_hand():
     assert got[0] == pytest.approx(1.0 + 2.0 + 4.0, abs=1e-14)
     assert got[1] == pytest.approx(1.0 + 2.0, abs=1e-14)
     assert got[2] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_cde_score_requires_mediator():
-    rng = np.random.default_rng(6)
-    d = rand_dte(rng, 5)
-    nuis = DteNuisance(pi=const(0.5), rho=const(0.5), nu=const(0.0), mu=const(0.0))
-    with pytest.raises(InputError):
-        cde_score(d, (1, 1), nuis)
 
 
 @settings(max_examples=50)

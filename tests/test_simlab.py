@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from refusals import refusal_tests
 from scipy.special import ndtri
 
-from drnets import simlab
 from drnets.errors import ConfigurationError
 from drnets.simlab import (
     CATE_KINDS,
@@ -23,22 +23,6 @@ from drnets.simlab import (
 
 ALL_KINDS = CATE_KINDS + DTE_KINDS
 MAX = np.iinfo(np.intp).max // 8  # the most float64 entries one array can hold
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError, match="kind"):
-        DgpConfig(kind="banana")
-    with pytest.raises(ConfigurationError, match="q"):
-        DgpConfig(kind="cate_linear", d=3, q=5)
-    with pytest.raises(ConfigurationError, match="noise_sd"):
-        DgpConfig(kind="cate_linear", noise_sd=-0.1)
-    with pytest.raises(ConfigurationError, match="offset"):
-        DgpConfig(kind="cate_linear", propensity_offset=1.5)
-    with pytest.raises(ConfigurationError, match=rf"d2 must be an integer in \[1, {MAX}\], got 0"):
-        DgpConfig(kind="dte_linear", d2=0)
-    for kind, name in (("cate_linear", "d"), ("dte_linear", "d1"), ("dte_linear", "d2")):
-        with pytest.raises(ConfigurationError, match=rf"{name} must be an integer in \[1, {MAX}"):
-            DgpConfig(kind=kind, **{name: MAX + 1})  # more entries than one array can hold
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -128,11 +112,6 @@ def test_oracle_theta_million_draw_agreement():
     assert abs(analytic - theta_mc) <= 0.005
 
 
-def test_oracle_theta_validates_sample_size():
-    with pytest.raises(ConfigurationError, match="n_mc"):
-        oracle_theta(DgpConfig(kind="cate_linear"), 5000, 0)
-
-
 def test_oracle_se_shrinks_like_root_n():
     config = DgpConfig(kind="cate_sparse_smooth")
     _, se1 = oracle_theta(config, 20_000, 7)
@@ -166,11 +145,6 @@ def test_orthogonality_second_order_rms_scales_quadratically():
     assert 3.0 <= ratio <= 5.0
 
 
-def test_orthogonality_rejects_two_stage_kind():
-    with pytest.raises(ConfigurationError, match="single-stage"):
-        orthogonality_study(DgpConfig(kind="dte_linear"), 0.1, 1000, 0)
-
-
 def test_coverage_degenerate_oracle_is_exact():
     config = DgpConfig(kind="dte_linear", noise_sd=0.0, effect_scale=0.0,
                        baseline_scale=0.0)
@@ -179,20 +153,6 @@ def test_coverage_degenerate_oracle_is_exact():
     assert out["coverage"] == 1.0
     assert out["mean_ci_width"] == 0.0
     assert out["theta_true"] == 0.0
-
-
-def test_coverage_study_validates_reps():
-    with pytest.raises(ConfigurationError, match="reps"):
-        coverage_study(DgpConfig(kind="dte_linear"), reps=50)
-
-
-@pytest.mark.parametrize("setting, value, name", [("learner_family", "nested", "learner family"),
-                                                  ("n_folds", 1, "n_folds"), ("n", 0, "n"),
-                                                  ("alpha", 1.5, "alpha")])
-def test_coverage_study_checks_every_argument_before_any_worker(monkeypatch, setting, value, name):
-    monkeypatch.setattr(simlab, "parallel_map", lambda *args: pytest.fail("a worker started"))
-    with pytest.raises(ConfigurationError, match=f"^{name} must"):
-        coverage_study(DgpConfig(kind="dte_linear"), reps=100, **{setting: value})
 
 
 def test_coverage_report_supports_recomputing_levels():
@@ -206,26 +166,12 @@ def test_coverage_report_supports_recomputing_levels():
     assert float(np.mean(err <= half)) == out["coverage"]
 
 
-def test_rate_slope_validates_grid():
-    config = DgpConfig(kind="cate_sparse_smooth")
-    with pytest.raises(ConfigurationError, match="increasing"):
-        rate_slope_study(config, [500, 400, 600], reps=2, seed=0)
-    with pytest.raises(ConfigurationError, match="increasing"):
-        rate_slope_study(config, [500, 1000], reps=2, seed=0)
-
-
 def test_rate_slope_smoke_report_shape():
     config = DgpConfig(kind="cate_sparse_smooth")
     out = rate_slope_study(config, [400, 800, 1600], reps=2, seed=3)
     assert len(out["per_n_mse"]) == 3
     assert np.array(out["per_rep_mse"]).shape == (2, 3)
     assert np.isfinite(out["slope"])
-
-
-def test_double_robustness_validates_misspec():
-    with pytest.raises(ConfigurationError, match="misspec"):
-        double_robustness_study(DgpConfig(kind="cate_sparse_smooth"),
-                                "nonsense", [500, 1000], reps=2, seed=0)
 
 
 def test_double_robustness_smoke_report_shape():
@@ -247,18 +193,6 @@ def test_oracle_learner_spec_round_trip():
     assert abs(report.theta_hat - manual.mean()) <= 1e-10
 
 
-@pytest.mark.parametrize("fields", [{"d1": 2.5}, {"q": 1.5}, {"d": True},
-                                    {"coef_seed": 1.5}, {"coef_seed": "0"}])
-def test_config_requires_integer_fields(fields):
-    with pytest.raises(ConfigurationError, match="must be an integer"):
-        DgpConfig(kind="cate_linear", **fields)
-
-
-def test_config_rejects_negative_coef_seed():
-    with pytest.raises(ConfigurationError, match="coef_seed"):
-        DgpConfig(kind="dte_linear", coef_seed=-1)
-
-
 def test_two_stage_q_is_bounded_by_d1_alone():
     config = DgpConfig(kind="dte_linear", d1=40, d2=10, q=6)
     assert gen_dte(config, 50, 0)[0].s1.shape == (50, 40)
@@ -270,52 +204,93 @@ def test_two_stage_q_is_bounded_by_d1_alone():
     assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("s1", "t1", "s2", "t2", "y"))
 
 
-@pytest.mark.parametrize("name", ["propensity_offset", "effect_scale", "baseline_scale"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_config_rejects_non_finite_scales(name, value):
-    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-        DgpConfig(kind="cate_linear", **{name: value})
-
-
-@pytest.mark.parametrize("name", ["noise_sd", "propensity_offset", "effect_scale",
-                                  "baseline_scale"])
-@pytest.mark.parametrize("value", [True, "a", None])
-def test_config_rejects_non_numbers_in_float_fields(name, value):
-    with pytest.raises(ConfigurationError, match=f"{name} must be a number, got {value!r}"):
-        DgpConfig(kind="cate_linear", **{name: value})
-
-
-@pytest.mark.parametrize("gen,kind", [(gen_cate, "cate_linear"), (gen_dte, "dte_linear")])
-@pytest.mark.parametrize("n,seed,message", [(-1, 0, "n must be an integer in"),
-                                            (5, -1, "seed must be an integer >= 0")])
-def test_generators_reject_negative_n_and_seed(gen, kind, n, seed, message):
-    with pytest.raises(ConfigurationError, match=message):
-        gen(DgpConfig(kind=kind), n, seed)
-
-
-@pytest.mark.parametrize("target", [(2, 2), (1, 2), (1, 1, 0), "11", (True, 1), (1.0, 1.0)])
-def test_oracle_theta_rejects_target_outside_the_four_paths(monkeypatch, target):
-    monkeypatch.setattr(simlab, "generate", None)  # the target is checked before any draw
-    # True and 1.0 compare equal to 1, so those pairs fail on their entries.
-    on_a_path = tuple(target) in ((0, 0), (0, 1), (1, 0), (1, 1))
-    message = "target level must be an integer" if on_a_path else "target must be one of"
-    with pytest.raises(ConfigurationError, match=message):
-        oracle_theta(DgpConfig(kind="dte_linear"), 10_000, 0, target=target)
-
-
-def test_studies_reject_degenerate_sizes():
-    config = DgpConfig(kind="cate_sparse_smooth")
-    with pytest.raises(ConfigurationError, match="n must be an integer >= 2, got 1"):
-        orthogonality_study(config, 0.3, 1, 0)
-    with pytest.raises(ConfigurationError, match="reps"):
-        rate_slope_study(config, [400, 800, 1600], reps=0, seed=0)
-    with pytest.raises(ConfigurationError, match="reps"):
-        double_robustness_study(config, "mu_wrong", [400, 800], reps=0, seed=0)
-
-
 def test_coverage_single_stage_oracle_reports_exact_truth():
     config = DgpConfig(kind="cate_sparse_smooth")
     out = coverage_study(config, learner_family="oracle", reps=100, n=200,
                          seed=3, n_folds=2)
     assert out["theta_true"] == gen_cate(config, 1, 0)[1].theta_ate
     assert 0.85 <= out["coverage"] <= 1.0
+
+
+# ---------------------------------------------------------- refused calls
+
+_SMOOTH, _DTE = DgpConfig(kind="cate_sparse_smooth"), DgpConfig(kind="dte_linear")
+_E, _SIZE = ConfigurationError, f" must be an integer in [1, {MAX}], got "
+_REPS0 = "reps must be an integer in [1, 100000], got 0"
+_TARGET = "target must be one of ((0, 0), (0, 1), (1, 0), (1, 1)), got "
+_KINDS = "('cate_linear', 'cate_sparse_smooth', 'cate_rough_outcome'"
+# The refused calls by test name, in rows that tests/refusals.py states.
+_REFUSED = {
+    "test_config_validation": [(lambda kw=kw: DgpConfig(**kw), _E, message) for kw, message in (
+        ({"kind": "banana"}, f"kind must be one of {_KINDS}, 'dte_linear', 'dte_sparse_smooth', "
+         "'cde_binary'), got 'banana'"),
+        ({"kind": "cate_linear", "d": 3, "q": 5}, "q must lie in [1, d], got 5"),
+        ({"kind": "cate_linear", "noise_sd": -0.1}, "noise_sd must lie in [0, 1e100], got -0.1"),
+        ({"kind": "cate_linear", "propensity_offset": 1.5},
+         "propensity_offset must lie in [-1, 1], got 1.5"),
+        ({"kind": "dte_linear", "d2": 0}, "d2" + _SIZE + "0"),
+        # more entries than one array can hold
+        ({"kind": "cate_linear", "d": MAX + 1}, f"d{_SIZE}{MAX + 1}"),
+        ({"kind": "dte_linear", "d1": MAX + 1}, f"d1{_SIZE}{MAX + 1}"),
+        ({"kind": "dte_linear", "d2": MAX + 1}, f"d2{_SIZE}{MAX + 1}"))],
+    "test_oracle_theta_validates_sample_size": [(lambda: oracle_theta(
+        _SMOOTH, 5000, 0), _E, "n_mc must be an integer >= 10000, got 5000")],
+    "test_orthogonality_rejects_two_stage_kind": [(lambda: orthogonality_study(
+        _DTE, 0.1, 1000, 0), _E, f"single-stage kind must be one of {_KINDS}), got 'dte_linear'")],
+    "test_coverage_study_validates_reps": [(lambda: coverage_study(_DTE, reps=50), _E,
+                                            "reps must be an integer in [100, 100000], got 50")],
+    "test_coverage_study_checks_every_argument_before_any_worker": [
+        (f"{key}-{value}-{name}", lambda kw={key: value}: coverage_study(_DTE, reps=100, **kw), _E,
+         f"{name} must {rest}, got {value!r}") for key, value, name, rest in (
+            ("learner_family", "nested", "learner family", "be one of ('lasso', 'mlp', 'oracle')"),
+            ("n_folds", 1, "n_folds", "be an integer >= 2"), ("n", 0, "n", "be an integer >= 5"),
+            ("alpha", 1.5, "alpha", "lie in (0, 1)"))],
+    "test_rate_slope_validates_grid": [
+        (lambda grid=grid: rate_slope_study(_SMOOTH, grid, reps=2, seed=0), _E,
+         "n_grid must be strictly increasing with >= 3 points") for grid in ([500, 400, 600],
+                                                                             [500, 1000])],
+    "test_double_robustness_validates_misspec": [
+        (lambda: double_robustness_study(_SMOOTH, "nonsense", [500, 1000], reps=2, seed=0), _E,
+         "misspec must be one of ('mu_wrong', 'pi_wrong', 'both_wrong'), got 'nonsense'")],
+    "test_config_requires_integer_fields": [
+        (f"fields{i}", lambda kw=kw: DgpConfig(kind="cate_linear", **kw), _E, message)
+        for i, (kw, message) in enumerate([
+            ({"d1": 2.5}, "d1 must be an integer, got 2.5"),
+            ({"q": 1.5}, "q must be an integer, got 1.5"),
+            ({"d": True}, "d" + _SIZE + "True"),
+            ({"coef_seed": 1.5}, "coef_seed must be an integer >= 0, got 1.5"),
+            ({"coef_seed": "0"}, "coef_seed must be an integer >= 0, got '0'")])],
+    "test_config_rejects_negative_coef_seed": [(lambda: DgpConfig(kind="dte_linear", coef_seed=-1),
+                                                _E, "coef_seed must be an integer >= 0, got -1")],
+    "test_config_rejects_non_finite_scales": [
+        (f"{value}-{name}", lambda kw={name: value}: DgpConfig(kind="cate_linear", **kw), _E,
+         f"{name} must be finite, got {value}") for value in (np.nan, np.inf, -np.inf)
+        for name in ("propensity_offset", "effect_scale", "baseline_scale")],
+    "test_config_rejects_non_numbers_in_float_fields": [
+        (f"{value}-{name}", lambda kw={name: value}: DgpConfig(kind="cate_linear", **kw), _E,
+         f"{name} must be a number, got {value!r}") for value in (True, "a", None)
+        for name in ("noise_sd", "propensity_offset", "effect_scale", "baseline_scale")],
+    # the size bound is the most rows whose draw one array holds
+    "test_generators_reject_negative_n_and_seed": [
+        (f"{n}-{seed}-{prefix}-{gen.__name__}-{kind}",
+         lambda gen=gen, kind=kind, n=n, seed=seed: gen(DgpConfig(kind=kind), n, seed), _E,
+         prefix + (f" [0, {cap}]" if n < 0 else "") + ", got -1")
+        for n, seed, prefix in ((-1, 0, "n must be an integer in"),
+                                (5, -1, "seed must be an integer >= 0"))
+        for gen, kind, cap in ((gen_cate, "cate_linear", MAX // 4),
+                               (gen_dte, "dte_linear", MAX // 10))],
+    # True and 1.0 compare equal to 1, so those pairs fail on their entries
+    "test_oracle_theta_rejects_target_outside_the_four_paths": [
+        (case, lambda t=t: oracle_theta(_DTE, 10_000, 0, target=t), _E, message)
+        for case, t, message in (
+            ("target0", (2, 2), _TARGET + "(2, 2)"), ("target1", (1, 2), _TARGET + "(1, 2)"),
+            ("target2", (1, 1, 0), _TARGET + "(1, 1, 0)"), ("11", "11", _TARGET + "'11'"),
+            ("target4", (True, 1), "target level must be an integer in [0, 1], got True"),
+            ("target5", (1.0, 1.0), "target level must be an integer in [0, 1], got 1.0"))],
+    "test_studies_reject_degenerate_sizes": [
+        (lambda: orthogonality_study(_SMOOTH, 0.3, 1, 0), _E, "n must be an integer >= 2, got 1"),
+        (lambda: rate_slope_study(_SMOOTH, [400, 800, 1600], reps=0, seed=0), _E, _REPS0),
+        (lambda: double_robustness_study(_SMOOTH, "mu_wrong", [400, 800], reps=0, seed=0), _E,
+         _REPS0)],
+}
+refusal_tests(_REFUSED, globals())

@@ -1,7 +1,17 @@
 """Write a fixed set of drnets outputs to a directory, for byte-identity checks.
 
-A refactor that must not change any number is checked by running this script
-on two source trees and comparing the directories:
+The committed ``tools/output_digest.sha256`` holds the hash of every file this
+script writes, so a tree is checked against the record in one line, run from
+the repository root after writing OUT:
+
+    PYTHONPATH=src python3 tools/output_digest.py OUT
+    (cd OUT && sha256sum -c --quiet "$OLDPWD/tools/output_digest.sha256")
+
+The hashes hold for Python 3.11.7 and numpy 2.4.6 with its bundled OpenBLAS
+(scipy-openblas 0.3.31); another build may move the last bits of a float.  A
+change that moves output bytes regenerates the record, ``(cd OUT && sha256sum
+* > "$OLDPWD/tools/output_digest.sha256")``, and lists the changed files in
+CHANGES.md.  Two trees can also be compared directly:
 
     PYTHONPATH=/path/to/old/src python3 tools/output_digest.py /tmp/old
     PYTHONPATH=src python3 tools/output_digest.py /tmp/new
@@ -27,8 +37,11 @@ cate estimate given ``--K -5``, which it does not read; an ate estimate
 on an n=80 cate_linear file whose first two y cells are set to 1e12, and an
 ate estimate with MLP nuisances on an n=400 cate_linear file whose first
 three y cells are set to 1e100; a simulate given an ``estimand``, ``study``
-and ``learner_family`` outside their choices, which it does not read; and a
-rate-slope study at n_grid [100, 200, 400] with one replication.
+and ``learner_family`` outside their choices, which it does not read; a
+rate-slope study at n_grid [100, 200, 400] with one replication; an ate
+estimate on a missing file given the "oracle" family, which ``estimate`` does
+not take; and a double-robustness study given the "mlp" family, which it does
+not read.
 API runs: ``estimate_dte`` with the nested MLP stage-one regression,
 ``estimate_cate`` with MLP nuisances, ``estimate_ate`` with a ConstantSpec
 mu and with an oracle pi that returns an (n, 1) column, a 100-replication
@@ -36,7 +49,9 @@ lasso ``coverage_study`` at n=400 and an oracle one on cate_rough_outcome,
 direct ``mlp_fit`` runs that reach the network step's slower branches
 (non-unit sample weights, and a clamp that binds in some training steps and
 not in others, under each loss), ``oracle_theta`` for every kind, and the
-orthogonality, rate-slope and three double-robustness studies at small sizes.
+orthogonality, rate-slope and three double-robustness studies at small sizes;
+and two refused calls, ``estimate_cate`` with a LassoSpec final stage and
+``estimate_dte`` with the string "lasso" as rho.
 """
 
 from __future__ import annotations
@@ -183,12 +198,20 @@ def cli_runs(out: Path) -> None:
     (out / "rate_slope_small.json").write_text(json.dumps({"n_grid": [100, 200, 400], "reps": 1}))
     _cli(out, "rate_slope_small", "diagnose", "rate_slope", "--config", "rate_slope_small.json",
          "--out", "rate_slope_small_report.json")
+    (out / "oracle.json").write_text(json.dumps({"learner_family": "oracle"}))
+    _cli(out, "estimate_oracle_family", "estimate", "--estimand", "ate", "--data", "nothere.csv",
+         "--config", "oracle.json")
+    (out / "dr_mlp.json").write_text(json.dumps(
+        {"n_grid": [100, 200], "reps": 1, "learner_family": "mlp"}))
+    _cli(out, "double_robustness_mlp_family", "diagnose", "double_robustness",
+         "--config", "dr_mlp.json", "--out", "dr_mlp_report.json")
 
 
 def api_runs(out: Path) -> None:
     import numpy as np
 
     from drnets import (
+        CateData,
         ConstantSpec,
         DgpConfig,
         FixedSpec,
@@ -284,6 +307,15 @@ def api_runs(out: Path) -> None:
     _api(out, "api_coverage_oracle_rough",
          lambda: coverage_study(DgpConfig(kind="cate_rough_outcome"), "oracle",
                                 reps=100, n=N, seed=20))
+    # Refused calls: the error each raises, by class and text.
+    data, _ = gen_dte(DgpConfig(kind="dte_linear"), 200, 1)
+    lasso = LassoSpec(grid_size=3)
+    _api(out, "api_cate_lasso_final_stage",
+         lambda: estimate_cate(CateData(data.s1, data.t1, data.y),
+                               LearnerSpec(pi=lasso, mu=lasso), lasso))
+    _api(out, "api_dte_rho_string",
+         lambda: estimate_dte(data, LearnerSpec(pi=lasso, rho="lasso", nu=lasso),
+                              default_final_config(200), n_folds=2))
 
 
 def main(argv: list[str]) -> int:
