@@ -340,9 +340,13 @@ class CateEstimate(MlpPair):
     provenance: dict = field(default_factory=dict)
 
 
-def _two_way_split(n, seed, who):
+def _check_split_rows(n, who, error=InputError):
     if n < 4:
-        raise InputError(f"{who} needs at least 4 rows, got {n}")
+        raise error(f"{who} needs at least 4 rows, got {n}")
+
+
+def _two_way_split(n, seed, who):
+    _check_split_rows(n, who)
     perm = np.random.default_rng([seed, 101]).permutation(n)
     return perm[: n // 2], perm[n // 2 :]
 
@@ -483,12 +487,11 @@ def estimate_dte(
                           _derive_seed(seed, k, 21), f"fold {k} pi")
         stage2 = _stage2_nuisance(learners, train, seed, k, 22, f"fold {k}", propensity_clip)
         if learners.mu is None:
+            treated = train.subset(np.flatnonzero(train.t1 == 1))
+            _check_split_rows(treated.n, f"fold {k} mu: estimate_mu_dr", StratumError)
             try:
-                mu = estimate_mu_dr(train.subset(np.flatnonzero(train.t1 == 1)), learners,
-                                    final_stage, seed=_derive_seed(seed, k, 24),
+                mu = estimate_mu_dr(treated, learners, final_stage, seed=_derive_seed(seed, k, 24),
                                     propensity_clip=propensity_clip).predict
-            except InputError as exc:  # the t1=1 rows are too few for the nested split
-                raise StratumError(f"fold {k} mu: {exc}") from exc
             except EstimationError as exc:
                 raise type(exc)(f"fold {k} mu: {exc}") from exc
         else:
@@ -525,7 +528,6 @@ def estimate_cde(
     levels at the same mediator level difference to a controlled direct
     effect.
     """
-    _check_type("data", data, DteData)
     relabelled = _relabel_cde(data, target)
     t_level, m_level = int(target[0]), int(target[1])  # plain ints for the report
     if not np.any(relabelled.t2):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._checks import MAX_REAL, _check_int, _check_real, _check_vector, _covariates
+from ._checks import MAX_REAL, _check_int, _check_real, _check_type, _check_vector, _covariates
 from .errors import ConfigurationError, InputError
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
@@ -178,6 +178,8 @@ def make_folds(n_total: int, n_folds: int, seed: int) -> FoldPlan:
 
 def cate_pseudo_outcome(data: CateData, nuis: CateNuisance) -> np.ndarray:
     """Bias-corrected outcome contrast whose conditional mean is the CATE."""
+    _check_type("data", data, CateData)
+    _check_type("nuis", nuis, CateNuisance)
     pi = nuis.clipped_pi(data.s)
     mu1, mu0 = _predict(nuis, "mu1", data.s), _predict(nuis, "mu0", data.s)
     t, y = data.t, data.y
@@ -186,6 +188,8 @@ def cate_pseudo_outcome(data: CateData, nuis: CateNuisance) -> np.ndarray:
 
 def dte_stage2_pseudo_outcome(data: DteData, nuis: DteNuisance) -> np.ndarray:
     """Second-stage correction: nu plus the inverse-weighted stage-2 residual."""
+    _check_type("data", data, DteData)
+    _check_type("nuis", nuis, DteNuisance)
     sbar2 = data.sbar2
     rho = nuis.clipped_rho(sbar2)
     nu = _predict(nuis, "nu", sbar2)
@@ -194,6 +198,8 @@ def dte_stage2_pseudo_outcome(data: DteData, nuis: DteNuisance) -> np.ndarray:
 
 def dte_score(data: DteData, nuis: DteNuisance) -> np.ndarray:
     """Efficient-score summand for the mean outcome under the (1, 1) path."""
+    _check_type("data", data, DteData)
+    _check_type("nuis", nuis, DteNuisance)
     sbar2 = data.sbar2
     pi = nuis.clipped_pi(data.s1)
     rho = nuis.clipped_rho(sbar2)
@@ -215,6 +221,7 @@ def cde_score(data: DteData, target: tuple[int, int], nuis: DteNuisance) -> np.n
 
 def _relabel_cde(data: DteData, target) -> DteData:
     """``data`` with t1 = 1{T=t} and t2 = 1{M=m} for target (t, m)."""
+    _check_type("data", data, DteData)
     if not isinstance(target, (tuple, list)) or len(target) != 2:
         raise ConfigurationError(f"target must be a pair (t, m), got {target!r}")
     _check_int("exposure level", target[0], 0, 1)
@@ -238,6 +245,9 @@ def delta_decomposition(
     error, so it vanishes when either nuisance is exact.  The sign of
     ``delta2`` is fixed by the exact decomposition.
     """
+    _check_type("data", data, CateData)
+    _check_type("nuis_hat", nuis_hat, CateNuisance)
+    _check_type("nuis_true", nuis_true, CateNuisance)
     s, t, y = data.s, data.t, data.y
     pi_hat = nuis_hat.clipped_pi(s)
     pi_true = nuis_true.clipped_pi(s)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import MAX_SIZE, REALS, _check_choice, _check_int, _check_real
+from ._checks import MAX_SIZE, REALS, _check_choice, _check_int, _check_real, _check_type
 from ._parallel import parallel_map
 from .errors import ConfigurationError
 from .estimators import (
@@ -189,6 +189,7 @@ def gen_cate(config: DgpConfig, n: int, seed: int):
     pi0, and both potential outcomes share one noise draw so y equals the
     realized branch bit for bit.
     """
+    _check_type("config", config, DgpConfig)
     _check_choice("single-stage kind", config.kind, CATE_KINDS)
     _check_int("n", n, 0, MAX_SIZE // config.d)  # s holds n * d entries
     _check_int("seed", seed, 0)
@@ -240,6 +241,7 @@ def gen_dte(config: DgpConfig, n: int, seed: int):
     outcomes share another.  For the mediator kind the second treatment
     column holds the mediator.
     """
+    _check_type("config", config, DgpConfig)
     _check_choice("two-stage kind", config.kind, DTE_KINDS)
     _check_int("n", n, 0, MAX_SIZE // (config.d1 + config.d2 + 4))  # sbar2, the 4 paths
     _check_int("seed", seed, 0)
@@ -326,6 +328,7 @@ def gen_dte(config: DgpConfig, n: int, seed: int):
 
 def generate(config: DgpConfig, n: int, seed: int):
     """Kind-dispatching generator."""
+    _check_type("config", config, DgpConfig)
     return (gen_cate if config.kind in CATE_KINDS else gen_dte)(config, n, seed)
 
 
@@ -339,6 +342,7 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
     kinds the always-treated path mean; the mediator kind the (t, m) path
     given by ``target`` (default (1, 1)).
     """
+    _check_type("config", config, DgpConfig)
     _check_int("n_mc", n_mc, 10_000)
     key = (1, 1) if target is None else target
     if config.kind in DTE_KINDS:
@@ -353,6 +357,7 @@ def oracle_theta(config: DgpConfig, n_mc: int, seed: int, target=None):
 
 def oracle_learner_spec(truth) -> LearnerSpec:
     """LearnerSpec that injects the exact nuisances of a generated truth."""
+    _check_type("truth", truth, CateTruth, DteTruth)
     if isinstance(truth, CateTruth):
         return LearnerSpec(pi=FixedSpec(truth.pi0),
                            mu=(FixedSpec(truth.mu1), FixedSpec(truth.mu0)))
@@ -462,6 +467,7 @@ def coverage_study(config: DgpConfig, learner_family: str = "lasso",
     per-replication estimates so other levels can be recomputed without
     re-fitting.
     """
+    _check_type("config", config, DgpConfig)
     _check_int("reps", reps, 100, MAX_REPS)
     _check_int("seed", seed, 0)
     _check_choice("learner family", learner_family, LEARNER_FAMILIES)
@@ -503,10 +509,11 @@ def _mse_rep(args):
 
 
 def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
-    """Validate n_grid and reps and run the (reps, len(n_grid)) MSE table.
+    """Validate config, n_grid and reps and run the (reps, len(n_grid)) MSE table.
 
     Returns the result keys both MSE studies share and the table itself.
     """
+    _check_type("config", config, DgpConfig)
     _check_int("reps", reps, 1, MAX_REPS)
     _check_int("seed", seed, 0)
     for i, v in enumerate(n_grid):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from refusals import no_work, refusal_tests
 
 from drnets import estimators
 from drnets._checks import MAX_SIZE
@@ -48,12 +49,6 @@ def test_simulate_twice_is_byte_identical(tmp_path):
         == Path(b + ".json").read_text()
 
 
-def test_simulate_rejects_unknown_dgp(tmp_path, capsys):
-    code = run_cli("simulate", "--dgp", "nope", "--n", "10",
-                   "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-
-
 def test_simulate_unwritable_path_is_io_error():
     assert run_cli("simulate", "--dgp", "cate_linear", "--n", "5",
                    "--out", "/nonexistent_dir/x.csv") == 3
@@ -81,19 +76,6 @@ def test_parse_rejects_wrong_schema(tmp_path):
         _read_data(out, "dte")
     data = _read_data(out, "ate")
     assert data.n == 30 and data.s.shape == (30, 4)
-
-
-def test_estimate_missing_t2_column_exits_2(tmp_path, capsys):
-    src = str(tmp_path / "d.csv")
-    run_cli("simulate", "--dgp", "dte_linear", "--n", "60", "--seed", "2",
-            "--out", src)
-    text = Path(src).read_text().replace("t2", "zz")
-    bad = str(tmp_path / "bad.csv")
-    Path(bad).write_text(text)
-    code = run_cli("estimate", "--estimand", "dte", "--data", bad,
-                   "--out", str(tmp_path / "r.json"))
-    assert code == 2
-    assert "expected 't2'" in capsys.readouterr().err
 
 
 def test_estimate_ate_report_and_alpha_monotonicity(tmp_path):
@@ -286,18 +268,22 @@ def test_blank_line_in_body_leaves_report_unchanged(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_simulate_with_n_too_large_to_allocate_exits_2_with_one_line(tmp_path):
-    """Run in a child capped at 4 GiB of address space, so the draw fails to
-    allocate on any host instead of filling its memory."""
+def _run_capped(cwd, limit, argv):
+    """Run the CLI on argv in a child capped at ``limit`` bytes of address
+    space, so an allocation too large fails on any host instead of filling
+    its memory."""
     code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
-            "from drnets.cli import main\n"
-            "sys.exit(main(['simulate', '--dgp', 'dte_linear', '--n', '1000000000000',"
-            " '--out', 'x.csv']))")
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            f"from drnets.cli import main\nsys.exit(main({argv.split()!r}))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(estimators.__file__).parents[1])}  # the drnets under test
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=env)
+
+
+def test_simulate_with_n_too_large_to_allocate_exits_2_with_one_line(tmp_path):
+    """Capped at 4 GiB, the draw fails to allocate."""
+    proc = _run_capped(tmp_path, 4 << 30, "simulate --dgp dte_linear --n 1000000000000 --out x.csv")
     err = proc.stderr
     assert proc.returncode == 2 and err.count("\n") == 1 and err.startswith("error: "), err
     assert not (tmp_path / "x.csv").exists()
@@ -308,14 +294,7 @@ def test_diagnose_with_reps_too_large_to_list_exits_2_with_one_line(tmp_path, st
     """A study builds its whole task list before any work, so reps is bounded
     above; in a child capped at 1 GiB of address space, an unbounded list
     would end in a MemoryError instead of the named bound."""
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from drnets.cli import main\n"
-            f"sys.exit(main(['diagnose', '{study}', '--reps', '{10**30}', '--out', 'x.json']))")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(estimators.__file__).parents[1])}  # the drnets under test
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+    proc = _run_capped(tmp_path, 1 << 30, f"diagnose {study} --reps {10**30} --out x.json")
     low = 100 if study == "coverage" else 1
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: reps must be an integer in [{low}, 100000], got {10**30}\n"
@@ -391,6 +370,21 @@ def test_diagnose_rate_slope_runs_and_records_its_learner_family(tmp_path, monke
     assert docs[0]["result"]["per_rep_mse"] != docs[1]["result"]["per_rep_mse"]
 
 
+def test_diagnose_double_robustness_reports_each_misspecification_and_its_verdict(
+        tmp_path, monkeypatch):
+    """The verdict is README's rule applied to the written numbers, and the
+    exit code follows it."""
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"n_grid": [100, 200], "reps": 1}))
+    code = run_cli("diagnose", "double_robustness", "--config", "cfg.json", "--out", "o.json")
+    doc = json.loads(Path("o.json").read_text())
+    result, per_n = doc["result"], doc["result"]["both_wrong"]["per_n_mse"]
+    assert sorted(result) == ["both_wrong", "mu_wrong", "pi_wrong"]
+    rule = per_n[-1] >= 0.5 * per_n[0] and all(
+        result[m]["share_decreasing"] >= 0.8 for m in ("mu_wrong", "pi_wrong"))
+    assert doc["passed"] is rule and code == (0 if rule else 5)
+
+
 _BASE_N = 60
 _CELLS = ("nan", "inf", "1e400", "1e308", "-1e308", "1e100", "-1e100", "9.9e99", "1e20",
           "1e-300", "1.5", "-1", "2", "0", "1", "", "abc")
@@ -400,7 +394,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "command") +
 _INTS = ("0", "-1", "1", "2", str(10**30), str(2**63 - 1))
 _FLOATS = ("0", "-1", "1", "1e308", "-1e308", "1e100", "nan", "inf", "1e-300")
 # The numeric flags each command takes; the property draws only values that
-# parse, since argparse's own usage errors lie outside the contract.
+# parse, since argparse's own usage errors are rows of _REFUSED.
 _FLAGS = {"simulate": {"--n": _INTS, "--seed": _INTS},
           "estimate": {"--K": _INTS, "--alpha": _FLOATS, "--seed": _INTS},
           "diagnose": {"--n": _INTS, "--alpha": _FLOATS, "--scale": _FLOATS, "--seed": _INTS}}
@@ -410,11 +404,13 @@ _DGPS = {"ate": "cate_linear", "cate": "cate_sparse_smooth", "dte": "dte_linear"
 
 @pytest.fixture(scope="module")
 def base_csvs(tmp_path_factory):
-    """The directory of one small valid data file per estimand."""
+    """The directory of one small valid data file per estimand and of a probe
+    file with two covariate columns."""
     root = tmp_path_factory.mktemp("base")
     for estimand, dgp in _DGPS.items():
         assert main(["simulate", "--dgp", dgp, "--n", str(_BASE_N), "--seed", "3",
                      "--out", str(root / f"{estimand}.csv")]) == 0
+    write_csv(str(root / "probe.csv"), ["s1", "s2"], np.zeros((2, 2)))
     return root
 
 
@@ -453,13 +449,24 @@ _DIGITS = (_JSON + "..." if hasattr(sys, "get_int_max_str_digits")
            else "perturbation_scale" + _TOO_LARGE)
 
 # Every refused run, filed under the test that runs it: test name -> rows of
-# (case, argv, message[, config[, edit]]).  A test is parametrized by its rows'
-# cases; one whose case is None runs its rows in turn.  The config, a dict or
-# raw bytes, is passed as --config cfg.json; the edit rewrites the base data
-# file that --data names.  A message ending in "..." is a prefix of the stderr
-# line, whose rest is numpy's or Python's text.  A new refusal is one row under
-# test_refused_run_exits_with_one_line.
+# (case, argv, message[, config[, edit]]), built into tests by tests/refusals.py.
+# The config, a dict or raw bytes, is passed as --config cfg.json; the edit
+# rewrites the base data file that --data names.  A message ending in "..." is
+# a prefix of the stderr line, whose rest is numpy's or Python's text.  A new
+# refusal is one row under test_refused_run_exits_with_one_line.
 _REFUSED = {
+    "test_simulate_rejects_unknown_dgp": [
+        (None, "simulate --dgp nope --n 10 --out x.csv", "argument --dgp: invalid choice: 'nope' "
+         f"(choose from {', '.join(map(repr, CATE_KINDS + DTE_KINDS))})")],
+    "test_estimate_missing_t2_column_exits_2": [
+        (None, _DTE, "column 8: expected 't2', found 'zz'", None,
+         lambda data: data.replace(b"t2", b"zz", 1))],
+    "test_probe_is_read_and_checked_before_any_fit": [
+        (case, f"estimate --estimand cate --data cate.csv --probe {probe}", message)
+        for case, probe, message in (
+            ("trailing_column", "ate.csv", "column 5: unexpected trailing column 't'"),
+            ("width", "probe.csv", "probe.csv: 2 covariate columns, the data has 4"),
+            ("missing", "no.csv", "[Errno 2] No such file or directory: 'no.csv'"))],
     "test_probe_outside_cate_estimate_exits_2_before_any_data_is_read": [
         ("dte_flag", "estimate --estimand dte --data no.csv --probe no.csv --out r.json", _PROBE),
         ("ate_config", "estimate --estimand ate --data no.csv --out r.json", _PROBE,
@@ -581,17 +588,21 @@ _REFUSED = {
         *((f"{case}_{family}_family", run, _FAMILY, {"learner_family": family})
           for case, run, family in (("simulate", _SIM, "mlp"),
                                     ("orthogonality", "diagnose orthogonality", "oracle"),
-                                    ("double_robustness", "diagnose double_robustness", "mlp")))],
+                                    ("double_robustness", "diagnose double_robustness", "mlp"))),
+        # argparse's own usage errors
+        ("flag_of_wrong_type", _ATE + " --K abc", "argument --K: invalid int value: 'abc'"),
+        ("unknown_flag", "diagnose coverage --bogus 1", "unrecognized arguments: --bogus 1"),
+        ("no_command", "", "the following arguments are required: command")],
 }
 
 
-def _refuse(path, monkeypatch, capsys, base_csvs, argv, message, config=None, edit=None):
-    """Run argv in a fresh directory ``path`` holding the base data files: it
-    exits 2 (4 for a fold with one t1 arm), fits no nuisance, and writes one
-    stderr line and nothing else: no stdout and no file."""
-    path.mkdir(exist_ok=True)
-    monkeypatch.chdir(path)
-    for src in base_csvs.glob("*.csv"):
+def _refuse(request, argv, message, config=None, edit=None):
+    """Run argv in a fresh directory holding the base files: it exits 2 (3 for
+    a missing file, 4 for a fold with one t1 arm), does no work, and writes
+    one stderr line and nothing else: no stdout and no file."""
+    request.getfixturevalue("monkeypatch").chdir(
+        tempfile.mkdtemp(dir=request.getfixturevalue("tmp_path")))
+    for src in request.getfixturevalue("base_csvs").glob("*.csv"):
         Path(src.name).write_bytes(src.read_bytes())
     argv = argv.split()
     if edit is not None:
@@ -602,32 +613,18 @@ def _refuse(path, monkeypatch, capsys, base_csvs, argv, message, config=None, ed
         Path("cfg.json").write_bytes(text)
         argv += ["--config", "cfg.json"]
     inputs = sorted(Path().iterdir())
-    monkeypatch.setattr(estimators, "_fit_learner", lambda *a, **k: pytest.fail("a fit ran"))
+    capsys = request.getfixturevalue("capsys")
     capsys.readouterr()
-    code = main(argv)
+    with no_work():
+        code = main(argv)
     out, err = capsys.readouterr()
     line = f"error: {message.removesuffix('...')}"
-    assert code == (4 if message == _ARMS else 2), err
+    assert code == (3 if message.startswith("[Errno") else 4 if message == _ARMS else 2), err
     assert err.startswith(line) if message.endswith("...") else err == line + "\n", err
     assert err.count("\n") == 1 and out == "" and sorted(Path().iterdir()) == inputs
 
 
-def _refusal_test(name, rows):
-    """The test ``name`` that runs each of rows through _refuse."""
-    if rows[0][0] is None:
-        def test(tmp_path, monkeypatch, capsys, base_csvs):
-            for i, row in enumerate(rows):
-                _refuse(tmp_path / str(i), monkeypatch, capsys, base_csvs, *row[1:])
-    else:
-        @pytest.mark.parametrize("row", [pytest.param(row, id=row[0]) for row in rows])
-        def test(tmp_path, monkeypatch, capsys, base_csvs, row):
-            _refuse(tmp_path, monkeypatch, capsys, base_csvs, *row[1:])
-    test.__name__ = test.__qualname__ = name
-    return test
-
-
-for _name, _rows in _REFUSED.items():
-    globals()[_name] = _refusal_test(_name, _rows)
+refusal_tests(_REFUSED, globals(), _refuse)
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -455,6 +455,7 @@ def _column(fn):
 @pytest.mark.parametrize("path,error,message", [
     ("ate_pi", InputError, "pi predictions must have shape (200,), got (200, 1)"),
     ("dte_mu", InputError, "mu predictions must have shape (200,), got (200, 1)"),
+    ("dte_nested_rho", InputError, "rho predictions must have shape (48,), got (48, 1)"),
     ("dte_score_nu", InputError, "nu predictions must have shape (400,), got (400, 1)"),
     ("dte_score_unset_mu", ConfigurationError, "the mu role is not set"),
 ])
@@ -470,6 +471,9 @@ def test_nuisance_predictions_hold_one_float_per_row(path, error, message):
             n_folds=2),
         "dte_mu": lambda: estimate_dte(dte, replace(oracle, mu=FixedSpec(_column(dte_truth.mu0))),
                                        SMALL_FINAL, n_folds=2),
+        "dte_nested_rho": lambda: estimate_dte(  # in the nested stage-one regression
+            dte, replace(oracle, mu=None, rho=FixedSpec(_column(dte_truth.rho0))), SMALL_FINAL,
+            n_folds=2),
         "dte_score_nu": lambda: dte_score(dte, DteNuisance(
             pi=dte_truth.pi0, rho=dte_truth.rho0, nu=_column(dte_truth.nu0),
             mu=dte_truth.mu0)),

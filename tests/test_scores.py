@@ -122,6 +122,7 @@ _ROW_FAULTS = [
 _S, _Z = np.zeros((3, 2)), np.zeros(3)
 _NUIS = DteNuisance(pi=const(0.5), rho=const(0.5), nu=const(0.0), mu=const(0.0))
 _NO_M = rand_dte(np.random.default_rng(6), 5)
+_CATE, _CNUIS = rand_cate(np.random.default_rng(6), 5), CateNuisance(const(0.5), *[const(0.0)] * 2)
 _E, _CLIP = ConfigurationError, "propensity_clip must lie in (0, 0.5), got "
 # The refused calls by test name, in rows that tests/refusals.py states.
 _REFUSED = {
@@ -148,6 +149,14 @@ _REFUSED = {
     "test_cde_score_requires_mediator": [
         (lambda: cde_score(_NO_M, (1, 1), _NUIS), InputError,
          "the CDE requires data with a mediator column")],
+    "test_scores_name_a_container_or_bundle_of_the_wrong_type": [
+        (f.__name__, lambda f=f, args=args: f(*args), _E, message) for f, args, message in (
+            (cate_pseudo_outcome, (_NO_M, _CNUIS), "data must be CateData, got DteData"),
+            (dte_stage2_pseudo_outcome, (_CATE, _NUIS), "data must be DteData, got CateData"),
+            (dte_score, (_NO_M, _CNUIS), "nuis must be DteNuisance, got CateNuisance"),
+            (cde_score, (_CATE, (1, 1), _NUIS), "data must be DteData, got CateData"),
+            (delta_decomposition, (_CATE, _CNUIS, _NUIS),
+             "nuis_true must be CateNuisance, got DteNuisance"))],
 }
 refusal_tests(_REFUSED, globals())
 

@@ -287,6 +287,16 @@ _REFUSED = {
             ("target2", (1, 1, 0), _TARGET + "(1, 1, 0)"), ("11", "11", _TARGET + "'11'"),
             ("target4", (True, 1), "target level must be an integer in [0, 1], got True"),
             ("target5", (1.0, 1.0), "target level must be an integer in [0, 1], got 1.0"))],
+    # a kind's name in place of its DgpConfig
+    "test_entry_points_name_a_config_of_the_wrong_type": [
+        (f.__name__, lambda f=f, args=args: f("dte_linear", *args), _E,
+         "config must be DgpConfig, got str") for f, args in (
+            (generate, (10, 0)), (gen_cate, (10, 0)), (gen_dte, (10, 0)),
+            (oracle_theta, (10_000, 0)), (orthogonality_study, (0.3, 100, 0)),
+            (rate_slope_study, ([100, 200, 400], 1, 0)),
+            (double_robustness_study, ("mu_wrong", [100, 200], 1, 0)), (coverage_study, ()))] + [
+        ("oracle_learner_spec", lambda: oracle_learner_spec("x"), _E,
+         "truth must be CateTruth or DteTruth, got str")],
     "test_studies_reject_degenerate_sizes": [
         (lambda: orthogonality_study(_SMOOTH, 0.3, 1, 0), _E, "n must be an integer >= 2, got 1"),
         (lambda: rate_slope_study(_SMOOTH, [400, 800, 1600], reps=0, seed=0), _E, _REPS0),
