@@ -514,6 +514,7 @@ def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
     Returns the result keys both MSE studies share and the table itself.
     """
     _check_type("config", config, DgpConfig)
+    _check_choice("single-stage kind", config.kind, CATE_KINDS)
     _check_int("reps", reps, 1, MAX_REPS)
     _check_int("seed", seed, 0)
     for i, v in enumerate(n_grid):

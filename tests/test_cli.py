@@ -589,6 +589,8 @@ _REFUSED = {
           for case, run, family in (("simulate", _SIM, "mlp"),
                                     ("orthogonality", "diagnose orthogonality", "oracle"),
                                     ("double_robustness", "diagnose double_robustness", "mlp"))),
+        ("rate_slope_two_stage", "diagnose rate_slope --dgp dte_linear --reps 1",
+         f"single-stage kind must be one of {CATE_KINDS}, got 'dte_linear'"),
         # argparse's own usage errors
         ("flag_of_wrong_type", _ATE + " --K abc", "argument --K: invalid int value: 'abc'"),
         ("unknown_flag", "diagnose coverage --bogus 1", "unrecognized arguments: --bogus 1"),

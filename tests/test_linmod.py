@@ -312,6 +312,45 @@ def test_logistic_newton_steps_bounded_on_well_conditioned_fit():
     assert len(m.objective_trace) - 1 <= 8
 
 
+def _counted_gram_builds(monkeypatch):
+    """Record each weighted Gram build that linmod makes from here on."""
+    builds = []
+    build = linmod._centred_gram
+
+    def counted(x, w):
+        builds.append(x.shape)
+        return build(x, w)
+
+    monkeypatch.setattr(linmod, "_centred_gram", counted)
+    return builds
+
+
+def test_logistic_fit_holds_its_gram_while_the_curvature_holds(monkeypatch):
+    """At p=50 a Gram built at one curvature serves later outer steps, and
+    the point returned is still stationary."""
+    rng = np.random.default_rng(23)
+    n, p = 600, 50
+    x = rng.uniform(-1, 1, (n, p))
+    y = (rng.random(n) < expit(x[:, :5] @ np.array([1.0, -0.8, 0.6, 0.5, -0.4]))).astype(float)
+    lam = 0.05 * _lambda_max(x, y, np.full(n, 1.0 / n), "logistic")
+    builds = _counted_gram_builds(monkeypatch)
+    m = logistic_lasso_fit(x, y, lam)
+    assert len(builds) < len(m.objective_trace) - 1
+    grad, grad0 = logistic_gradient(x, y, np.ones(n), m)
+    check_kkt(grad, grad0, m.coefficients, lam)
+
+
+def test_logistic_fit_with_few_columns_rebuilds_its_gram_every_step(monkeypatch):
+    """Below _HOLD_MIN_COLUMNS each outer step builds the Gram at its own
+    curvature: plain proximal Newton."""
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-1, 1, (600, 6))
+    y = (rng.random(600) < expit(x @ np.array([1.0, -0.8, 0.6, 0.0, 0.0, 0.3]))).astype(float)
+    builds = _counted_gram_builds(monkeypatch)
+    m = logistic_lasso_fit(x, y, 0.005)
+    assert len(builds) == len(m.objective_trace) - 1 > 1
+
+
 def test_probability_clipping():
     beta = np.array([50.0])
     beta.flags.writeable = False

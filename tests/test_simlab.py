@@ -237,6 +237,11 @@ _REFUSED = {
         _SMOOTH, 5000, 0), _E, "n_mc must be an integer >= 10000, got 5000")],
     "test_orthogonality_rejects_two_stage_kind": [(lambda: orthogonality_study(
         _DTE, 0.1, 1000, 0), _E, f"single-stage kind must be one of {_KINDS}), got 'dte_linear'")],
+    "test_mse_studies_reject_two_stage_kind_before_any_worker": [
+        (f.__name__, lambda f=f, args=args: f(_DTE, *args), _E,
+         f"single-stage kind must be one of {_KINDS}), got 'dte_linear'") for f, args in (
+            (rate_slope_study, ([100, 200, 400], 1, 0)),
+            (double_robustness_study, ("mu_wrong", [100, 200], 1, 0)))],
     "test_coverage_study_validates_reps": [(lambda: coverage_study(_DTE, reps=50), _E,
                                             "reps must be an integer in [100, 100000], got 50")],
     "test_coverage_study_checks_every_argument_before_any_worker": [
