@@ -2,13 +2,16 @@
 
 Rows: covariates form a finite 2-D float array and every vector is finite
 with one entry per row, 0/1 where it codes a treatment or a logistic label.
+Every array, nuisance predictions included, enters through ``_reals``, which
+refuses strings, complex numbers and other entries that are not real numbers
+rather than parse or truncate them.
 Every fit and ``mlp_loss_grad`` take their rows through ``_fit_rows``, which
 drops zero-weight rows with row order kept, so they change no bit of any
 result, and checks 0/1 labels on the rows left.
 
 Settings: ``_check_int`` and ``_check_real`` check type and range together (a
 bool is never a number); a setting from a fixed set passes ``_check_choice``,
-and a data container or config passes ``_check_type``.
+and a data container, config or network passes ``_check_type``.
 
 Floating point: extreme finite values are stopped where they enter.  Data
 outcomes and the settings that scale them (noise_sd, effect_scale,
@@ -20,6 +23,7 @@ default clip's inverse propensities of at most 1e4, overflows float64.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -30,9 +34,19 @@ MAX_REAL = 1e100
 REALS = f"[-{MAX_REAL:g}, {MAX_REAL:g}]"
 
 
+def _reals(a, name: str) -> np.ndarray:
+    """a as a float64 array if it holds bools, integers or floats, or objects
+    that are all real numbers; anything else raises InputError naming it."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf" and not (
+            a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
+        raise InputError(f"{name} must hold real numbers")
+    return a.astype(np.float64, copy=False)
+
+
 def _check_x(x: np.ndarray, input_dim: int | None = None, name: str = "x") -> np.ndarray:
     """x as a finite 2-D float array, with ``input_dim`` columns if given."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _reals(x, name)
     if x.ndim != 2:
         raise InputError(f"{name} must be 2-D (n, p), got shape {x.shape}")
     if input_dim is not None and x.shape[1] != input_dim:
@@ -44,7 +58,7 @@ def _check_x(x: np.ndarray, input_dim: int | None = None, name: str = "x") -> np
 
 def _check_vector(a, n: int, name: str, binary: bool = False, bound=None) -> np.ndarray:
     """a as a finite float vector of length n, 0/1 if ``binary``, in [-bound, bound] if given."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _reals(a, name)
     if a.shape != (n,):
         raise InputError(f"{name} must have shape ({n},), got {a.shape}")
     if not np.isfinite(a).all():
@@ -68,7 +82,7 @@ def _covariates(s, name) -> np.ndarray:
 
 def _check_weights(sample_weight, n) -> np.ndarray:
     """Sample weights (ones when None), checked finite, non-negative and not all zero."""
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    w = np.ones(n) if sample_weight is None else _reals(sample_weight, "sample_weight")
     if w.shape != (n,):
         raise InputError(f"sample_weight must have shape ({n},), got {w.shape}")
     if not np.isfinite(w).all() or (w < 0).any():

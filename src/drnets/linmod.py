@@ -25,7 +25,8 @@ one curvature serves the later steps while every row's curvature stays
 within a factor 1.5 of it (see logistic_lasso_fit).  Every returned
 solution passes a subgradient stationarity check at tolerance 1e-6, in
 units of 2**k for a lasso fit whose outcomes lie beyond 2**33 (see
-lasso_fit).
+lasso_fit); a fit that fails it raises ConvergenceError saying how many
+sweeps or Newton steps ran and what ended them.
 """
 
 from __future__ import annotations
@@ -83,11 +84,16 @@ def _kkt_residual(grad, beta, lam):
     return float((np.abs(grad + lam * np.sign(beta)) - lam * (beta == 0)).max(initial=0.0))
 
 
-def _kkt_check(grad, beta, lam, what):
-    """Subgradient stationarity: raise if the returned point is not a minimum."""
+def _kkt_check(grad0, grad, beta, lam, what, count, unit, stop):
+    """Subgradient stationarity of the intercept and every coefficient: raise
+    if the returned point is not a minimum, saying after how many steps
+    (``count`` of ``unit``) the loop ended and why (``stop``)."""
     worst = _kkt_residual(grad, beta, lam)
-    if not worst <= _KKT_TOL:
-        raise ConvergenceError(f"{what} stopped with KKT residual {worst:.3e} > {_KKT_TOL}")
+    if abs(grad0) <= _KKT_TOL and worst <= _KKT_TOL:
+        return
+    fault = ("intercept failed stationarity" if not abs(grad0) <= _KKT_TOL
+             else f"stopped with KKT residual {worst:.3e} > {_KKT_TOL}")
+    raise ConvergenceError(f"{what} {fault} after {count} {unit}{'s' * (count != 1)} ({stop})")
 
 
 def _active_finish(gram, c, signs, lam, beta):
@@ -240,9 +246,8 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
         np.asarray(_warm[1], dtype=np.float64), -k)
     b0, beta, trace = _gram_cd(x, y, w, scaled_lam, beta, _MAX_SWEEPS)
     r = y - b0 - x @ beta
-    if not abs(float(w @ r)) <= _KKT_TOL:
-        raise ConvergenceError("lasso intercept failed stationarity")
-    _kkt_check(-2.0 * (x.T @ (w * r)), beta, scaled_lam, "lasso")
+    _kkt_check(float(w @ r), -2.0 * (x.T @ (w * r)), beta, scaled_lam, "lasso", len(trace),
+               "sweep", "sweep limit reached" if len(trace) >= _MAX_SWEEPS else "sweeps converged")
     beta = np.ldexp(beta, k)
     beta.flags.writeable = False
     return LinearModel(beta, math.ldexp(b0, k), "identity", float(lam),
@@ -297,6 +302,7 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
     trace = [obj]
     move = np.inf
     held = None  # the curvature v_ref the held Gram was built at
+    stop = "step limit reached"  # how the loop ended, named if the checks below fail
     for _ in range(_MAX_NEWTON):
         prob = _expit(eta)
         g = w * (prob - y)
@@ -322,15 +328,15 @@ def logistic_lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel
             if cand_obj <= obj:
                 break
             scale *= 0.5
-        else:
-            break  # no descent along the Newton direction; the checks below decide
+        else:  # the checks below decide
+            stop = "line search found no descent"
+            break
         move = max(abs(cand_b0 - b0), float(np.abs(cand_beta - beta).max(initial=0.0)))
         b0, beta, eta, obj = cand_b0, cand_beta, cand_eta, cand_obj
         trace.append(obj)
     g = w * (_expit(eta) - y)
-    if not abs(float(np.add.reduce(g))) <= _KKT_TOL:
-        raise ConvergenceError("logistic lasso intercept failed stationarity")
-    _kkt_check(x.T @ g, beta, lam, "logistic lasso")
+    _kkt_check(float(np.add.reduce(g)), x.T @ g, beta, lam, "logistic lasso", len(trace) - 1,
+               "Newton step", stop)
     beta.flags.writeable = False
     return LinearModel(beta, b0, "logistic", float(lam), tuple(trace))
 

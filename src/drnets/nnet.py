@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import _check_choice, _check_int, _check_real, _check_x, _fit_rows
+from ._checks import _check_choice, _check_int, _check_real, _check_type, _check_x, _fit_rows
 from .errors import DivergenceError
 
 _LOSSES = ("square", "logistic")
@@ -96,6 +96,7 @@ def _frozen(arrays) -> tuple[np.ndarray, ...]:
 
 def mlp_init(config: MLPConfig, input_dim: int) -> MLPModel:
     """He-initialized network: weights ~ N(0, 2 / fan_in), biases zero."""
+    _check_type("config", config, MLPConfig)
     _check_int("input_dim", input_dim, 1)
     rng = np.random.default_rng(config.seed)
     weights, biases = [], []
@@ -142,6 +143,7 @@ def _clamp(raw, bound):
 def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Clamped network output; for logistic loss this is the clamped logit.  As in
     training, an overflow clamps to the bound and numpy warns of no overflow or NaN."""
+    _check_type("model", model, MLPModel)
     x = _check_x(x, model.input_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         return _clamp(_forward(model.weights, model.biases, x)[1], model.config.clamp_bound)
@@ -208,6 +210,7 @@ def mlp_loss_grad(model: MLPModel, x: np.ndarray, y: np.ndarray, sample_weight=N
     Returns ``(loss, grad_weights, grad_biases)`` with gradient entries shaped
     like ``model.weights`` / ``model.biases``.
     """
+    _check_type("model", model, MLPModel)
     x, y, w = _fit_rows(_check_x(x, model.input_dim), y, sample_weight,
                         binary=model.config.loss == "logistic")
     grad_w, grad_b = _views(np.empty(model.n_parameters), model)
@@ -230,6 +233,7 @@ def mlp_fit(x: np.ndarray, y: np.ndarray, config: MLPConfig, sample_weight=None)
     gathers the training rows once in permutation order; its batches are then
     contiguous slices, and each step takes the exact fast paths described at the top.
     """
+    _check_type("config", config, MLPConfig)
     x, y, w = _fit_rows(x, y, sample_weight, binary=config.loss == "logistic")
 
     if config.clamp_bound is None:

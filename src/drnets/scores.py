@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._checks import MAX_REAL, _check_int, _check_real, _check_type, _check_vector, _covariates
+from ._checks import (MAX_REAL, _check_int, _check_real, _check_type, _check_vector, _covariates,
+                      _reals)
 from .errors import ConfigurationError, InputError
 
 PredictFn = Callable[[np.ndarray], np.ndarray]
@@ -90,7 +91,7 @@ def _predict(nuis, role: str, x: np.ndarray) -> np.ndarray:
     fn = getattr(nuis, role)
     if fn is None:
         raise ConfigurationError(f"the {role} role is not set")
-    values = np.asarray(fn(x), dtype=np.float64)
+    values = _reals(fn(x), f"{role} predictions")
     if values.shape != (x.shape[0],):
         raise InputError(f"{role} predictions must have shape ({x.shape[0]},), "
                          f"got {values.shape}")

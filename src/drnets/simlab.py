@@ -534,6 +534,7 @@ def _mse_table(choose, choice, config, n_grid, reps, seed, min_points):
 def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
                      learner_family: str = "mlp") -> dict:
     """Log-log slope of effect-regression test MSE against sample size."""
+    _check_choice("learner family", learner_family, LEARNER_FAMILIES)  # before any replication
     result, _ = _mse_table(_study_learners, learner_family, config, n_grid,
                            reps, seed, min_points=3)
     slope = np.polyfit(np.log(result["n_grid"]), np.log(result["per_n_mse"]), 1)[0]

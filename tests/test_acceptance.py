@@ -6,7 +6,6 @@ pass/fail line per criterion.  Monte Carlo criteria pin their master seeds
 so reruns are bit-stable.
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import assert_stationary, draw_kink_free, fd_gradient, flat_params
 from scipy.special import expit, ndtri
 
 from drnets.estimators import (
@@ -47,42 +47,6 @@ from drnets.simlab import (
 # --------------------------------------------------- criterion 1: gradients
 
 
-def _flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _with_flat(model, flat):
-    shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
-    parts, pos = [], 0
-    for s in shapes:
-        size = int(np.prod(s))
-        parts.append(flat[pos:pos + size].reshape(s))
-        pos += size
-    k = len(model.weights)
-    return dataclasses.replace(model, weights=tuple(parts[:k]),
-                               biases=tuple(parts[k:]))
-
-
-def _safe_batch(rng, model, n, margin=1e-4):
-    """Inputs with pre-activations and raw outputs away from kinks."""
-    for _ in range(300):
-        x = rng.uniform(-1.0, 1.0, (n, model.input_dim))
-        a, ok = x, True
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            pre = a @ w.T + b
-            if np.min(np.abs(pre)) < margin:
-                ok = False
-                break
-            a = np.maximum(pre, 0.0)
-        if ok:
-            raw = a @ model.weights[-1][0] + model.biases[-1][0]
-            if np.min(np.abs(np.abs(raw) - model.config.clamp_bound)) < 1e-3:
-                ok = False
-        if ok:
-            return x
-    raise AssertionError("no kink-free batch found")
-
-
 def test_criterion_1_gradient_matches_finite_differences():
     """Analytic gradients vs central differences: rel err <= 1e-5,
     20 model/batch pairs, under 10 seconds."""
@@ -96,21 +60,13 @@ def test_criterion_1_gradient_matches_finite_differences():
                            clamp_bound=3.0,
                            seed=int(rng.integers(10_000)))
         model = mlp_init(config, input_dim=int(rng.integers(1, 5)))
-        x = _safe_batch(rng, model, n=8)
+        x = draw_kink_free(rng, model, n=8)
         y = (rng.random(8).round() if config.loss == "logistic"
              else rng.normal(size=8))
         w = rng.uniform(0.2, 2.0, 8)
         _, gw, gb = mlp_loss_grad(model, x, y, w)
-        analytic = _flat(list(gw) + list(gb))
-        theta = _flat(list(model.weights) + list(model.biases))
-        fd = np.empty_like(theta)
-        for j in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[j] += h
-            dn[j] -= h
-            lu, *_ = mlp_loss_grad(_with_flat(model, up), x, y, w)
-            ld, *_ = mlp_loss_grad(_with_flat(model, dn), x, y, w)
-            fd[j] = (lu - ld) / (2.0 * h)
+        analytic = flat_params(gw, gb)
+        fd = fd_gradient(model, x, y, w, h=h)
         denom = max(float(np.linalg.norm(fd)), 1e-12)
         rel = float(np.linalg.norm(analytic - fd)) / denom
         assert rel <= 1e-5, f"pair {pair}: rel err {rel:.2e}"
@@ -118,15 +74,6 @@ def test_criterion_1_gradient_matches_finite_differences():
 
 
 # --------------------------------------------------------- criterion 2: KKT
-
-
-def _kkt_ok(grad, grad0, beta, lam, tol=1e-6):
-    assert abs(grad0) <= tol
-    for j in range(beta.size):
-        if beta[j] == 0.0:
-            assert abs(grad[j]) <= lam + tol
-        else:
-            assert abs(grad[j] + lam * np.sign(beta[j])) <= tol
 
 
 def test_criterion_2_kkt_stationarity_and_analytic_case():
@@ -137,19 +84,15 @@ def test_criterion_2_kkt_stationarity_and_analytic_case():
         n, p = int(rng.integers(25, 120)), int(rng.integers(1, 6))
         x = rng.uniform(-1.0, 1.0, (n, p))
         w = rng.uniform(0.1, 2.0, n)
-        wn = w / w.sum()
         lam = float(rng.uniform(0.003, 0.3))
         y = x @ rng.normal(size=p) + 0.3 * rng.normal(size=n)
         m = lasso_fit(x, y, lam, sample_weight=w)
-        r = y - m.linear_predictor(x)
-        _kkt_ok(-2.0 * (x.T @ (wn * r)), -2.0 * float(wn @ r),
-                m.coefficients, lam)
+        assert_stationary(m, x, y, lam, w, tol=1e-6)
         yb = (rng.random(n) < expit(x @ rng.normal(size=p))).astype(float)
         if yb.min() == yb.max():
             continue
         mb = logistic_lasso_fit(x, yb, lam, sample_weight=w)
-        g = wn * (expit(mb.linear_predictor(x)) - yb)
-        _kkt_ok(x.T @ g, float(g.sum()), mb.coefficients, lam)
+        assert_stationary(mb, x, yb, lam, w, tol=1e-6)
 
     x = np.array([[1.0], [-1.0]])
     y = np.array([2.0, -2.0])

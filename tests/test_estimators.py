@@ -457,11 +457,13 @@ def _column(fn):
     ("dte_mu", InputError, "mu predictions must have shape (200,), got (200, 1)"),
     ("dte_nested_rho", InputError, "rho predictions must have shape (48,), got (48, 1)"),
     ("dte_score_nu", InputError, "nu predictions must have shape (400,), got (400, 1)"),
+    ("dte_score_complex_nu", InputError, "nu predictions must hold real numbers"),
     ("dte_score_unset_mu", ConfigurationError, "the mu role is not set"),
 ])
 def test_nuisance_predictions_hold_one_float_per_row(path, error, message):
-    """A prediction of shape (n, 1) would broadcast every score to n x n and
-    an unset role would be called as None; both are named errors."""
+    """A prediction of shape (n, 1) would broadcast every score to n x n, a
+    complex one would lose its imaginary part and an unset role would be
+    called as None; each is a named error."""
     cate, cate_truth = gen_cate(DgpConfig(kind="cate_linear"), 400, 3)
     dte, dte_truth = gen_dte(DgpConfig(kind="dte_linear"), 400, 3)
     oracle = oracle_learner_spec(dte_truth)
@@ -476,6 +478,9 @@ def test_nuisance_predictions_hold_one_float_per_row(path, error, message):
             n_folds=2),
         "dte_score_nu": lambda: dte_score(dte, DteNuisance(
             pi=dte_truth.pi0, rho=dte_truth.rho0, nu=_column(dte_truth.nu0),
+            mu=dte_truth.mu0)),
+        "dte_score_complex_nu": lambda: dte_score(dte, DteNuisance(
+            pi=dte_truth.pi0, rho=dte_truth.rho0, nu=lambda s: dte_truth.nu0(s) + 0j,
             mu=dte_truth.mu0)),
         "dte_score_unset_mu": lambda: dte_score(dte, DteNuisance(
             pi=dte_truth.pi0, rho=dte_truth.rho0, nu=dte_truth.nu0)),

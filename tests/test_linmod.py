@@ -1,5 +1,6 @@
 """Tests for the L1 solvers against analytic and brute-force oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from references import assert_stationary
 from refusals import refusal_tests
 from scipy.special import expit
 
@@ -31,6 +33,9 @@ from drnets.linmod import (
 from drnets.nnet import MLPConfig, mlp_fit
 
 
+_FITS = {"identity": lasso_fit, "logistic": logistic_lasso_fit}
+
+
 def lasso_objective(x, y, w, b0, beta, lam):
     w = w / w.sum()
     r = y - b0 - x @ beta
@@ -52,18 +57,6 @@ def grid_oracle_1d(x, y, w, lam):
         lo0, hi0 = b0s[i] - 2 * span0, b0s[i] + 2 * span0
         lo1, hi1 = b1s[j] - 2 * span1, b1s[j] + 2 * span1
     return b0s[i], b1s[j]
-
-
-def identity_gradient(x, y, w, model):
-    w = w / w.sum()
-    r = y - model.linear_predictor(x)
-    return -2.0 * (x.T @ (w * r)), -2.0 * float(w @ r)
-
-
-def logistic_gradient(x, y, w, model):
-    w = w / w.sum()
-    g = w * (expit(model.linear_predictor(x)) - y)
-    return x.T @ g, float(g.sum())
 
 
 def reference_cd(x, y, w, lam, tol=1e-12):
@@ -100,15 +93,6 @@ def reference_kkt_residual(grad, beta, lam):
     if np.any(~zero):
         worst = max(worst, float(np.max(np.abs(grad[~zero] + lam * np.sign(beta[~zero])))))
     return worst
-
-
-def check_kkt(grad, grad0, beta, lam, tol=1e-6):
-    assert abs(grad0) <= tol
-    for j in range(beta.size):
-        if beta[j] == 0:
-            assert abs(grad[j]) <= lam + tol
-        else:
-            assert abs(grad[j] + lam * np.sign(beta[j])) <= tol
 
 
 # -------------------------------------------------------------- lasso_fit
@@ -166,8 +150,7 @@ def test_kkt_on_random_instances_identity():
         w = rng.uniform(0.1, 3.0, n)
         lam = float(rng.uniform(0.01, 1.0))
         m = lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = identity_gradient(x, y, w, m)
-        check_kkt(grad, grad0, m.coefficients, lam)
+        assert_stationary(m, x, y, lam, w)
 
 
 def test_objective_trace_non_increasing():
@@ -261,8 +244,7 @@ def test_kkt_on_random_instances_logistic():
         w = rng.uniform(0.1, 2.0, n)
         lam = float(rng.uniform(0.005, 0.3))
         m = logistic_lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = logistic_gradient(x, y, w, m)
-        check_kkt(grad, grad0, m.coefficients, lam)
+        assert_stationary(m, x, y, lam, w)
 
 
 def test_logistic_objective_trace_non_increasing():
@@ -281,8 +263,7 @@ def test_logistic_separable_small_sample_reaches_stationarity():
     x = np.linspace(-1.0, 1.0, 21)[:, None]
     y = (x[:, 0] > 0.05).astype(float)
     m = logistic_lasso_fit(x, y, 1e-3)
-    grad, grad0 = logistic_gradient(x, y, np.ones(21), m)
-    check_kkt(grad, grad0, m.coefficients, 1e-3)
+    assert_stationary(m, x, y, 1e-3)
     assert m.coefficients[0] > 1.0
     trace = np.array(m.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
@@ -296,8 +277,7 @@ def test_logistic_near_separable_high_dimensional_reaches_stationarity():
     w = rng.uniform(0.5, 2.0, n)
     lam = 1e-3 * _lambda_max(x, y, w / w.sum(), "logistic")
     m = logistic_lasso_fit(x, y, lam, sample_weight=w)
-    grad, grad0 = logistic_gradient(x, y, w, m)
-    check_kkt(grad, grad0, m.coefficients, lam)
+    assert_stationary(m, x, y, lam, w)
     trace = np.array(m.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, trace[:-1]))
 
@@ -310,6 +290,31 @@ def test_logistic_newton_steps_bounded_on_well_conditioned_fit():
     y = (rng.random(500) < expit(x @ np.array([1.0, -0.5, 0.0, 0.3, 0.0]))).astype(float)
     m = logistic_lasso_fit(x, y, 0.01)
     assert len(m.objective_trace) - 1 <= 8
+
+
+@pytest.mark.parametrize("case", ["step_limit", "no_descent", "sweep_limit"])
+def test_failed_fit_says_how_many_steps_ran_and_why(monkeypatch, case):
+    """With a cap lowered, or no candidate step accepted, the fit ends short
+    of stationarity on the bounded-steps test's data and says why."""
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-1, 1, (500, 5))
+    y = (rng.random(500) < expit(x @ np.array([1.0, -0.5, 0.0, 0.3, 0.0]))).astype(float)
+    fit, lam, stop = logistic_lasso_fit, 0.01, "logistic lasso intercept failed stationarity after "
+    if case == "step_limit":
+        monkeypatch.setattr(linmod, "_MAX_NEWTON", 2)
+        stop += "2 Newton steps (step limit reached)"
+    elif case == "no_descent":  # every objective after the starting point's reads +inf
+        calls, objective = itertools.count(), linmod._logistic_objective
+        monkeypatch.setattr(linmod, "_logistic_objective",
+                            lambda *a: np.inf if next(calls) else objective(*a))
+        stop += "0 Newton steps (line search found no descent)"
+    else:
+        monkeypatch.setattr(linmod, "_MAX_SWEEPS", 1)
+        fit, lam, stop = lasso_fit, 0.001, ("lasso stopped with KKT residual 2.333e-03 > 1e-06 "
+                                            "after 1 sweep (sweep limit reached)")
+    with pytest.raises(ConvergenceError) as info:
+        fit(x, y, lam)
+    assert str(info.value) == stop
 
 
 def _counted_gram_builds(monkeypatch):
@@ -336,8 +341,7 @@ def test_logistic_fit_holds_its_gram_while_the_curvature_holds(monkeypatch):
     builds = _counted_gram_builds(monkeypatch)
     m = logistic_lasso_fit(x, y, lam)
     assert len(builds) < len(m.objective_trace) - 1
-    grad, grad0 = logistic_gradient(x, y, np.ones(n), m)
-    check_kkt(grad, grad0, m.coefficients, lam)
+    assert_stationary(m, x, y, lam)
 
 
 def test_logistic_fit_with_few_columns_rebuilds_its_gram_every_step(monkeypatch):
@@ -405,30 +409,6 @@ def test_zero_weight_rows_change_nothing_property(seed, data):
         assert (a.training_loss, a.validation_loss) == (b.training_loss, b.validation_loss)
 
 
-@settings(max_examples=25)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200), p=st.integers(1, 60),
-       log_frac=st.floats(-2.0, 0.0), link=st.sampled_from(["identity", "logistic"]))
-def test_kkt_residual_within_tolerance_property(seed, n, p, log_frac, link):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, (n, p))
-    eta = x @ (rng.normal(size=p) * (rng.random(p) < 0.3)) + 0.2 * rng.normal()
-    if link == "identity":
-        y = eta + rng.normal(size=n)
-    else:
-        y = (rng.random(n) < expit(eta)).astype(float)
-        if y.min() == y.max():
-            return
-    w = 10.0 ** rng.uniform(-5.0, 0.0, n)
-    lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
-    if link == "identity":
-        m = lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = identity_gradient(x, y, w, m)
-    else:
-        m = logistic_lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = logistic_gradient(x, y, w, m)
-    check_kkt(grad, grad0, m.coefficients, lam)
-
-
 def _sparse_instance(seed, n, p, link):
     """x uniform on [-1, 1], a 30%-sparse truth, log-uniform weights in [1e-5, 1]."""
     rng = np.random.default_rng(seed)
@@ -439,6 +419,17 @@ def _sparse_instance(seed, n, p, link):
     else:
         y = (rng.random(n) < expit(eta)).astype(float)
     return x, y, 10.0 ** rng.uniform(-5.0, 0.0, n)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200), p=st.integers(1, 60),
+       log_frac=st.floats(-2.0, 0.0), link=st.sampled_from(["identity", "logistic"]))
+def test_kkt_residual_within_tolerance_property(seed, n, p, log_frac, link):
+    x, y, w = _sparse_instance(seed, n, p, link)
+    if y.min() == y.max():
+        return
+    lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
+    assert_stationary(_FITS[link](x, y, lam, sample_weight=w), x, y, lam, w)
 
 
 @settings(max_examples=20, deadline=None)
@@ -485,13 +476,7 @@ def test_kkt_when_columns_outnumber_rows_property(seed, p, short, log_frac, link
     if y.min() == y.max():
         return
     lam = 10.0**log_frac * max(_lambda_max(x, y, w / w.sum(), link), 1e-12)
-    if link == "identity":
-        m = lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = identity_gradient(x, y, w, m)
-    else:
-        m = logistic_lasso_fit(x, y, lam, sample_weight=w)
-        grad, grad0 = logistic_gradient(x, y, w, m)
-    check_kkt(grad, grad0, m.coefficients, lam)
+    assert_stationary(_FITS[link](x, y, lam, sample_weight=w), x, y, lam, w)
 
 
 @settings(max_examples=200)
@@ -542,8 +527,7 @@ def test_singular_active_block_falls_back_to_descent():
     assert m.coefficients[0] > 0 and m.coefficients[4] > 0
     xc = x[:, active] - x[:, active].mean(axis=0)
     assert np.linalg.matrix_rank(xc.T @ xc) < active.size
-    grad, grad0 = identity_gradient(x, y, np.ones(200), m)
-    check_kkt(grad, grad0, m.coefficients, lam)
+    assert_stationary(m, x, y, lam)
 
 
 def test_finish_ends_well_conditioned_fit_early():
@@ -595,8 +579,7 @@ def test_near_square_identity_fit_certifies_within_sweep_budget():
     lam = 1e-2 * _lambda_max(x, y, w / 50, "identity")
     m = lasso_fit(x, y, lam)  # certified: lasso_fit raises unless stationary
     assert len(m.objective_trace) <= 500
-    grad, grad0 = identity_gradient(x, y, w, m)
-    check_kkt(grad, grad0, m.coefficients, lam)
+    assert_stationary(m, x, y, lam, w)
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
@@ -607,7 +590,7 @@ def test_warm_start_matches_cold_start(link):
     y = eta + 0.5 * rng.normal(size=300) if link == "identity" else (
         rng.random(300) < expit(eta)).astype(float)
     w = rng.uniform(0.2, 1.0, 300)
-    fit = lasso_fit if link == "identity" else logistic_lasso_fit
+    fit = _FITS[link]
     lam_max = _lambda_max(x, y, w / w.sum(), link)
     start = fit(x, y, 0.3 * lam_max, sample_weight=w)
     cold = fit(x, y, 0.01 * lam_max, sample_weight=w)
@@ -725,6 +708,12 @@ _REFUSED = {
         for x, message in ((np.ones((2, 5)), "x has 5 columns, model expects 3"),
                            (np.array([[0.1, np.nan, 0.2]]), "x contains non-finite values"),
                            (np.ones(3), "x must be 2-D (n, p), got shape (3,)"))],
+    "test_fits_refuse_arrays_of_non_real_numbers": [
+        (lambda: lasso_fit("abc", _Y, 0.1), InputError, "x must hold real numbers"),
+        (lambda: lasso_fit(_X + 1j, _Y, 0.1), InputError, "x must hold real numbers"),
+        (lambda: logistic_lasso_fit(_X, _Y + 0j, 0.1), InputError, "y must hold real numbers"),
+        (lambda: lasso_fit(_X, _Y, 0.1, sample_weight="abc"), InputError,
+         "sample_weight must hold real numbers")],
     # the 80/20 holdout is drawn over the positive-weight rows alone
     "test_select_lambda_counts_positive_weight_rows": [
         (lambda: select_lambda(_X50, np.zeros(50), sample_weight=_W50), InputError,

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from references import draw_kink_free, fd_gradient, flat_params, with_params
 from refusals import refusal_tests
 
 from drnets.errors import (
@@ -45,63 +46,6 @@ def naive_forward(model, x):
         bound = model.config.clamp_bound
         out[i] = min(max(raw, -bound), bound)
     return out
-
-
-def flat_params(weights, biases):
-    return np.concatenate([a.ravel() for a in weights] + [a.ravel() for a in biases])
-
-
-def model_with_params(model, flat):
-    shapes_w = [w.shape for w in model.weights]
-    shapes_b = [b.shape for b in model.biases]
-    parts, pos = [], 0
-    for s in shapes_w + shapes_b:
-        size = int(np.prod(s))
-        parts.append(flat[pos : pos + size].reshape(s))
-        pos += size
-    k = len(shapes_w)
-    return dataclasses.replace(
-        model, weights=tuple(parts[:k]), biases=tuple(parts[k:])
-    )
-
-
-def loss_at(model, flat, x, y, w):
-    m = model_with_params(model, flat)
-    value, _, _ = mlp_loss_grad(m, x, y, w)
-    return value
-
-
-def fd_gradient(model, x, y, w, h=1e-6):
-    theta = flat_params(model.weights, model.biases)
-    grad = np.empty_like(theta)
-    for j in range(theta.size):
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (loss_at(model, up, x, y, w) - loss_at(model, dn, x, y, w)) / (2 * h)
-    return grad
-
-
-def draw_safe_inputs(rng, model, n, margin=1e-4):
-    """Inputs whose ReLU pre-activations and raw outputs sit away from kinks."""
-    bound = model.config.clamp_bound
-    for _ in range(200):
-        x = rng.uniform(-1, 1, (n, model.input_dim))
-        ok = True
-        a = x
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            pre = a @ w.T + b
-            if np.min(np.abs(pre)) < margin:
-                ok = False
-                break
-            a = np.maximum(pre, 0.0)
-        if ok:
-            raw = a @ model.weights[-1][0] + model.biases[-1][0]
-            if np.min(np.abs(np.abs(raw) - bound)) < 1e-3:
-                ok = False
-        if ok:
-            return x
-    raise AssertionError("could not find inputs away from ReLU kinks")
 
 
 # ---------------------------------------------------------------- mlp_init
@@ -180,7 +124,7 @@ def test_zero_gradient_at_perfect_fit():
     # All-zero parameters predict 0; with zero targets the square loss is flat.
     cfg = MLPConfig(depth=2, width=4, clamp_bound=1.0)
     m = mlp_init(cfg, 3)
-    m = model_with_params(m, np.zeros(m.n_parameters))
+    m = with_params(m, np.zeros(m.n_parameters))
     x = np.random.default_rng(0).uniform(-1, 1, (10, 3))
     value, gw, gb = mlp_loss_grad(m, x, np.zeros(10))
     assert value == 0.0
@@ -207,7 +151,7 @@ def test_gradient_matches_finite_differences(loss):
     for seed in range(3):
         cfg = MLPConfig(depth=2, width=4, loss=loss, seed=seed, clamp_bound=50.0)
         m = mlp_init(cfg, 3)
-        x = draw_safe_inputs(rng, m, 12)
+        x = draw_kink_free(rng, m, 12)
         if loss == "square":
             y = rng.normal(size=12)
         else:
@@ -215,7 +159,7 @@ def test_gradient_matches_finite_differences(loss):
         w = rng.uniform(0.5, 2.0, 12)
         _, gw, gb = mlp_loss_grad(m, x, y, w)
         analytic = flat_params(gw, gb)
-        fd = fd_gradient(m, x, y, w)
+        fd = fd_gradient(m, x, y, w, h=1e-6)
         err = np.max(np.abs(fd - analytic)) / max(np.max(np.abs(fd)), 1e-8)
         assert err <= 1e-5
 
@@ -566,6 +510,17 @@ _REFUSED = {
          "all sample weights are zero"),
         (lambda: mlp_loss_grad(_NET3, _X10, _Y10, 0 * _Y10), EmptySubgroupError,
          "all sample weights are zero")],
+    "test_arrays_of_non_real_numbers_refused": [
+        (lambda: mlp_predict(_NET, "abc"), InputError, "x must hold real numbers"),
+        (lambda: mlp_fit(_X10, _Y10, MLPConfig(), sample_weight="abc"), InputError,
+         "sample_weight must hold real numbers")],
+    "test_entry_points_name_an_argument_of_the_wrong_type": [
+        (lambda: mlp_fit(_X10, _Y10, None), ConfigurationError,
+         "config must be MLPConfig, got NoneType"),
+        (lambda: mlp_init("cfg", 2), ConfigurationError, "config must be MLPConfig, got str"),
+        (lambda: mlp_predict("m", _X4), ConfigurationError, "model must be MLPModel, got str"),
+        (lambda: mlp_loss_grad(None, _X4, _X4[:, 0]), ConfigurationError,
+         "model must be MLPModel, got NoneType")],
     "test_logistic_targets_validated": [(lambda: mlp_fit(
         _X20, np.full(20, 0.5), MLPConfig(loss="logistic")), InputError, "y must be coded 0/1")],
 }

@@ -143,6 +143,9 @@ _REFUSED = {
         (f"{cls.__name__}-{field}-{message}", lambda cls=cls, kw={**_rows(cls), field: fault(
             _rows(cls)[field])}: cls(**kw), InputError, message)
         for cls, field, fault, message in _ROW_FAULTS],
+    "test_containers_refuse_arrays_of_non_real_numbers": [
+        (lambda: CateData("abc", _Z, _Z), InputError, "s must hold real numbers"),
+        (lambda: CateData(_S, _Z, _Z + 1j), InputError, "y must hold real numbers")],
     "test_propensity_clip_validation": [
         (lambda c=c: CateNuisance(const(0.5), const(0.0), const(0.0), propensity_clip=c), _E,
          _CLIP + str(c)) for c in (0.0, 0.5)],

@@ -250,6 +250,9 @@ _REFUSED = {
             ("learner_family", "nested", "learner family", "be one of ('lasso', 'mlp', 'oracle')"),
             ("n_folds", 1, "n_folds", "be an integer >= 2"), ("n", 0, "n", "be an integer >= 5"),
             ("alpha", 1.5, "alpha", "lie in (0, 1)"))],
+    "test_rate_slope_study_checks_learner_family_before_any_worker": [(lambda: rate_slope_study(
+        _SMOOTH, [100, 200, 400], 1, 0, learner_family="nested"), _E,
+        "learner family must be one of ('lasso', 'mlp', 'oracle'), got 'nested'")],
     "test_rate_slope_validates_grid": [
         (lambda grid=grid: rate_slope_study(_SMOOTH, grid, reps=2, seed=0), _E,
          "n_grid must be strictly increasing with >= 3 points") for grid in ([500, 400, 600],
