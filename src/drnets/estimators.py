@@ -540,6 +540,8 @@ def estimate_cde(
 
 # ------------------------------------------------------------------ defaults
 
+_FAMILIES = ("lasso", "mlp")  # the fitted families; simlab adds "oracle"
+
 
 def default_final_config(n: int, seed: int = 0) -> MLPConfig:
     """Effect-regression network sized to the sample: width grows like n^(1/4)."""
@@ -558,6 +560,6 @@ def default_final_config(n: int, seed: int = 0) -> MLPConfig:
 
 def default_learner_spec(family: str = "lasso", n: int = 1000, seed: int = 0) -> LearnerSpec:
     """Uniform nuisance family across roles; 'mlp' uses sample-sized networks."""
-    _check_choice("learner family", family, ("lasso", "mlp"))
+    _check_choice("learner family", family, _FAMILIES)
     cfg = LassoSpec() if family == "lasso" else default_final_config(n, seed)
     return LearnerSpec(pi=cfg, mu=cfg, rho=cfg, nu=cfg)

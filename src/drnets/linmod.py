@@ -246,8 +246,10 @@ def lasso_fit(x, y, lam, sample_weight=None, _warm=None) -> LinearModel:
         np.asarray(_warm[1], dtype=np.float64), -k)
     b0, beta, trace = _gram_cd(x, y, w, scaled_lam, beta, _MAX_SWEEPS)
     r = y - b0 - x @ beta
+    stop = ("objective not finite" if not math.isfinite(trace[-1])
+            else "sweep limit reached" if len(trace) >= _MAX_SWEEPS else "sweeps converged")
     _kkt_check(float(w @ r), -2.0 * (x.T @ (w * r)), beta, scaled_lam, "lasso", len(trace),
-               "sweep", "sweep limit reached" if len(trace) >= _MAX_SWEEPS else "sweeps converged")
+               "sweep", stop)
     beta = np.ldexp(beta, k)
     beta.flags.writeable = False
     return LinearModel(beta, math.ldexp(b0, k), "identity", float(lam),

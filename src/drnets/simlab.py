@@ -23,6 +23,7 @@ from .estimators import (
     FixedSpec,
     LassoSpec,
     LearnerSpec,
+    _FAMILIES,
     _derive_seed,
     default_final_config,
     default_learner_spec,
@@ -44,7 +45,7 @@ INDEX_BOUND_DTE = 1.0
 # The (first, second) treatment paths of a two-stage kind.
 _PATHS = ((0, 0), (0, 1), (1, 0), (1, 1))
 MAX_REPS = 100_000  # a study's replications: its task list is built before any work
-LEARNER_FAMILIES = ("lasso", "mlp", "oracle")
+LEARNER_FAMILIES = _FAMILIES + ("oracle",)
 
 
 @dataclass(frozen=True)
@@ -430,20 +431,14 @@ def orthogonality_study(config: DgpConfig, perturbation_scale: float,
 # --------------------------------------------------------- study: coverage
 
 
-def _study_learners(family: str, truth) -> LearnerSpec:
-    _check_choice("learner family", family, LEARNER_FAMILIES)
-    if family == "lasso":
-        return default_learner_spec("lasso")
-    if family == "oracle":
-        return oracle_learner_spec(truth)
-    net = default_final_config(800)
-    return LearnerSpec(pi=LassoSpec(), mu=net, rho=net, nu=net)
+def _study_learners(family: str, n: int, truth) -> LearnerSpec:
+    return oracle_learner_spec(truth) if family == "oracle" else default_learner_spec(family, n)
 
 
 def _coverage_rep(args):
     (config, family, n, alpha, n_folds, rep_seed) = args
     data, truth = generate(config, n, rep_seed)
-    learners = _study_learners(family, truth)
+    learners = _study_learners(family, n, truth)
     final = default_final_config(n)
     if config.kind in CATE_KINDS:
         rep = estimate_ate(data, learners, n_folds=n_folds, alpha=alpha,
@@ -501,7 +496,7 @@ def _mse_rep(args):
     """Effect-regression test MSE of one CATE run; ``choose`` picks the learners."""
     (choose, choice, config, n, rep_seed) = args
     data, truth = gen_cate(config, n, rep_seed)
-    learners = choose(choice, truth)
+    learners = choose(choice, n, truth)
     est = estimate_cate(data, learners, default_final_config(n), seed=rep_seed)
     grid = np.random.default_rng([config.coef_seed, 23]).uniform(
         -1.0, 1.0, (500, config.d))
@@ -544,18 +539,18 @@ def rate_slope_study(config: DgpConfig, n_grid, reps: int, seed: int,
 # --------------------------------------------- study: double robustness
 
 
-def _dr_learners(misspec: str, truth) -> LearnerSpec:
+def _dr_learners(misspec: str, n: int, truth) -> LearnerSpec:
     _check_choice("misspec", misspec, ("mu_wrong", "pi_wrong", "both_wrong"))
     wrong = ConstantSpec()
     return LearnerSpec(pi=LassoSpec() if misspec == "mu_wrong" else wrong,
-                       mu=default_final_config(2000) if misspec == "pi_wrong" else wrong)
+                       mu=default_final_config(n) if misspec == "pi_wrong" else wrong)
 
 
 def double_robustness_study(config: DgpConfig, misspec: str, n_grid,
                             reps: int, seed: int) -> dict:
     """Effect-regression MSE across n with one or both nuisances replaced
     by a fitted constant (a deliberately inconsistent learner)."""
-    _dr_learners(misspec, None)  # validate before any replication runs
+    _dr_learners(misspec, 0, None)  # validate before any replication runs
     result, mse = _mse_table(_dr_learners, misspec, config, n_grid, reps, seed,
                              min_points=2)
     decreasing = mse[:, -1] < mse[:, 0]

@@ -15,6 +15,7 @@ from refusals import refusal_tests
 from scipy.special import expit
 
 from drnets import estimators
+from drnets._parallel import parallel_map
 from drnets.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -693,9 +694,33 @@ def rough_baseline(s, freqs, phases, amps):
     return (amps * sawtooth(s * freqs + phases)).sum(axis=1)
 
 
+def _rough_rep(args):
+    """One replication of the rough-baseline comparison: does the corrected
+    learner beat the plug-in difference of arm networks on the test grid?"""
+    r, baseline, grid, theta_grid, nuis_cfg, final = args
+    rng = np.random.default_rng([300, r])
+    n = 4000
+    s = rng.uniform(-1.0, 1.0, (n, 5))
+    pi = expit(0.8 * s[:, 1])
+    t = (rng.random(n) < pi).astype(np.float64)
+    base = rough_baseline(s, *baseline)
+    theta = 1.0 + 0.5 * s[:, 0]
+    y = base + t * theta + 0.5 * rng.standard_normal(n)
+    data = CateData(s, t, y)
+    learners = LearnerSpec(pi=LassoSpec(grid_size=6), mu=nuis_cfg)
+    est = estimate_cate(data, learners, final, seed=r)
+    mse_dr = float(np.mean((est.predict(grid) - theta_grid) ** 2))
+    mu1 = mlp_fit(s, y, nuis_cfg, sample_weight=t)
+    mu0 = mlp_fit(s, y, replace(nuis_cfg, seed=1), sample_weight=1.0 - t)
+    plug = mlp_predict(mu1, grid) - mlp_predict(mu0, grid)
+    mse_plug = float(np.mean((plug - theta_grid) ** 2))
+    return mse_dr < mse_plug
+
+
 def test_cate_dr_beats_plugin_on_rough_baseline():
     """Rough dense outcome surfaces, smooth sparse effect and propensity:
-    the corrected learner wins the test MSE comparison in >= 80% of reps."""
+    the corrected learner wins the test MSE comparison in >= 80% of reps.
+    The replications run on the study worker pool."""
     gen = np.random.default_rng(30)
     freqs = gen.uniform(2.5, 4.0, 5)
     phases = gen.uniform(0.0, 1.0, 5)
@@ -704,25 +729,7 @@ def test_cate_dr_beats_plugin_on_rough_baseline():
     theta_grid = 1.0 + 0.5 * grid[:, 0]
     nuis_cfg = MLPConfig(depth=2, width=16, epochs=60, batch_size=128, step_size=0.05)
     final = MLPConfig(depth=2, width=12, epochs=60, batch_size=128, step_size=0.05)
-    wins = 0
     reps = 50
-    for r in range(reps):
-        rng = np.random.default_rng([300, r])
-        n = 4000
-        s = rng.uniform(-1.0, 1.0, (n, 5))
-        pi = expit(0.8 * s[:, 1])
-        t = (rng.random(n) < pi).astype(np.float64)
-        base = rough_baseline(s, freqs, phases, amps)
-        theta = 1.0 + 0.5 * s[:, 0]
-        y = base + t * theta + 0.5 * rng.standard_normal(n)
-        data = CateData(s, t, y)
-        learners = LearnerSpec(pi=LassoSpec(grid_size=6), mu=nuis_cfg)
-        est = estimate_cate(data, learners, final, seed=r)
-        mse_dr = float(np.mean((est.predict(grid) - theta_grid) ** 2))
-        mu1 = mlp_fit(s, y, nuis_cfg, sample_weight=t)
-        mu0 = mlp_fit(s, y, replace(nuis_cfg, seed=1), sample_weight=1.0 - t)
-        plug = mlp_predict(mu1, grid) - mlp_predict(mu0, grid)
-        mse_plug = float(np.mean((plug - theta_grid) ** 2))
-        if mse_dr < mse_plug:
-            wins += 1
+    tasks = [(r, (freqs, phases, amps), grid, theta_grid, nuis_cfg, final) for r in range(reps)]
+    wins = sum(parallel_map(_rough_rep, tasks))
     assert wins >= int(0.8 * reps)

@@ -499,13 +499,14 @@ def test_kkt_residual_matches_two_mask_reference_property(seed, p, zeros, lam):
 def test_overflowing_design_raises_instead_of_returning_nan():
     """x of order 1e200 is finite, but its Gram matrix overflows and the
     descent ends on NaN coefficients.  A NaN comparison is false, so every
-    stationarity gate is written to fail on NaN rather than pass it."""
+    stationarity gate is written to fail on NaN rather than pass it, and the
+    refusal blames the objective, not converged sweeps."""
     assert np.isnan(_kkt_residual(np.array([np.nan, 0.0]), np.zeros(2), 0.1))
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 3)) * 1e200
     y = rng.normal(size=50)
     with np.errstate(all="ignore"):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"after 1 sweep \(objective not finite\)$"):
             lasso_fit(x, y, 0.1)
         with pytest.raises(ConvergenceError):
             select_lambda(x, y)

@@ -6,10 +6,13 @@ from refusals import refusal_tests
 from scipy.special import ndtri
 
 from drnets.errors import ConfigurationError
+from drnets.estimators import default_final_config, default_learner_spec
 from drnets.simlab import (
     CATE_KINDS,
     DTE_KINDS,
     DgpConfig,
+    _dr_learners,
+    _study_learners,
     coverage_study,
     double_robustness_study,
     gen_cate,
@@ -191,6 +194,15 @@ def test_oracle_learner_spec_round_trip():
     # Exact nuisances and zero noise collapse the scores onto theta(s).
     manual = truth.theta_cate(data.s)
     assert abs(report.theta_hat - manual.mean()) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [500, 4000])
+def test_one_family_name_is_one_build(n):
+    """The studies fit the learners ``estimate`` fits under the same name,
+    networks sized by the study's own n."""
+    assert _study_learners("mlp", n, None) == default_learner_spec("mlp", n)
+    assert _study_learners("lasso", n, None) == default_learner_spec("lasso", n)
+    assert _dr_learners("pi_wrong", n, None).mu == default_final_config(n)
 
 
 def test_two_stage_q_is_bounded_by_d1_alone():
