@@ -172,8 +172,7 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps, centred=None):
     warm start with a nonzero support before the first sweep.  An accepted
     finish is the result and ends the loop.  A finish that flips a sign
     moves the iterate to the first sign change and descent carries on from
-    there.  The last pattern rejected without a move is not tried again, as
-    it would give the same candidate.
+    there.
 
     Returns (b0, beta, trace) with one objective value per sweep; after a
     finish, the last value is that of the finished point (the only one when
@@ -186,7 +185,6 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps, centred=None):
     diag = gram.diagonal().tolist()
     half = lam / 2.0
     trace = []
-    rejected = None  # the candidate depends on the signs alone: see the docstring
     delta = np.inf if beta.any() else 0.0  # the warm start's finish, before any sweep
     for sweep in range(max_sweeps + 1):
         if sweep:
@@ -201,12 +199,7 @@ def _gram_cd(x, y, w, lam, beta, max_sweeps, centred=None):
                     g -= gram[j] * (new - old)
                     beta[j] = new
                     delta = max(delta, abs(new - old))
-        finished = None
-        signs = np.sign(beta)
-        if delta >= 1e-8 and (rejected is None or (signs != rejected).any()):
-            finished = _active_finish(gram, c, signs, lam, beta)
-            if finished is None and (np.sign(beta) == signs).all():  # rejected in place
-                rejected = signs
+        finished = _active_finish(gram, c, np.sign(beta), lam, beta) if delta >= 1e-8 else None
         if finished is not None:
             beta[:], g = finished
         else:

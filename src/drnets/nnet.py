@@ -128,12 +128,6 @@ def _forward(weights, biases, x):
     return acts, raw
 
 
-def _inside(raw, bound):
-    """True when every raw output lies strictly inside the clamp interval,
-    where the clamp and its subgradient are the identity; NaN gives False."""
-    return bound is None or np.maximum.reduce(np.abs(raw)) < bound
-
-
 def _clamp(raw, bound):
     if bound is None:
         return raw
@@ -152,7 +146,7 @@ def mlp_predict(model: MLPModel, x: np.ndarray) -> np.ndarray:
 def _loss_value(loss, bound, weights, biases, x, y, w, w_sum):
     """Weight-normalized loss of the clamped outputs."""
     raw = _forward(weights, biases, x)[1]
-    f = raw if _inside(raw, bound) else _clamp(raw, bound)
+    f = _clamp(raw, bound)
     per = (f - y) ** 2 if loss == "square" else np.logaddexp(0.0, f) - y * f
     return float(np.dot(w, per) / w_sum)
 
@@ -165,7 +159,9 @@ def _loss_grad(loss, bound, weights, biases, x, y, w, grad_w, grad_b):
     # values bit for bit: a clamp strictly inside its bound is the identity,
     # and a unit weight multiplies exactly, summing to the row count.
     acts, raw = _forward(weights, biases, x)
-    inside = _inside(raw, bound)
+    # True when every raw output lies strictly inside the clamp interval, where
+    # the clamp and its subgradient are the identity; NaN gives False.
+    inside = bound is None or np.maximum.reduce(np.abs(raw)) < bound
     f = raw if inside else _clamp(raw, bound)
     if loss == "square":
         dldf = f - y

@@ -146,6 +146,26 @@ def test_logistic_loss_value_formula():
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
+@pytest.mark.parametrize("binds", [True, False])
+def test_loss_value_is_the_loss_of_the_predictions(loss, binds):
+    """The loss mlp_loss_grad reports is, bit for bit, the weighted loss of
+    mlp_predict's clamped outputs, whether the clamp binds on some rows or none."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(300, 3))
+    unclamped = mlp_init(MLPConfig(depth=2, width=6, loss=loss, seed=7, clamp_bound=1e300), 3)
+    raw = np.abs(mlp_predict(unclamped, x))
+    bound = float(np.median(raw)) if binds else 2.0 * float(raw.max())
+    assert (raw > bound).any() == binds and not (raw > bound).all()
+    m = dataclasses.replace(unclamped,
+                            config=dataclasses.replace(unclamped.config, clamp_bound=bound))
+    y = rng.integers(0, 2, 300).astype(float) if loss == "logistic" else rng.normal(size=300)
+    w = rng.uniform(0.5, 2.0, 300)
+    f = mlp_predict(m, x)
+    per = (f - y) ** 2 if loss == "square" else np.logaddexp(0.0, f) - y * f
+    assert mlp_loss_grad(m, x, y, w)[0] == float(np.dot(w, per) / w.sum())
+
+
+@pytest.mark.parametrize("loss", ["square", "logistic"])
 def test_gradient_matches_finite_differences(loss):
     rng = np.random.default_rng(42)
     for seed in range(3):

@@ -21,6 +21,12 @@ drnets is imported from PYTHONPATH, so the script runs unchanged against any
 checkout.  BLAS runs on one thread and DRNETS_THREADS=1, so the outputs do
 not depend on the machine's CPU count.  Every output file and the exit code
 (and stderr) of every run are written; an empty ``diff -r`` is the check.
+tests/test_output_record.py writes the same files through ``cli_runs`` and
+``api_runs`` and checks them against the record.
+
+The CLI runs call ``drnets.cli.main`` in this process, with OUTDIR as the
+working directory and stdout and stderr captured, so each relative path in a
+recorded report is the one the command was given.
 
 CLI runs: ``drnets --help`` and each command's ``--help`` (at 80 columns),
 ``simulate`` then ``estimate`` for ate, cate, cde and dte at p=6 and p=26
@@ -47,22 +53,19 @@ table under tests/, which pins its exit code or error class and its text.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
+import sys
+import traceback
+from dataclasses import replace
+from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-os.environ["DRNETS_THREADS"] = "1"
-os.environ["COLUMNS"] = "80"  # argparse wraps --help text at the terminal width
-# The CLI runs start in OUTDIR, so a relative PYTHONPATH entry must be made absolute.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
-
-import json  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import traceback  # noqa: E402
-from dataclasses import replace  # noqa: E402
-from pathlib import Path  # noqa: E402
+# Set before numpy loads, so the script imports neither numpy nor drnets at
+# module level.  argparse wraps --help text at COLUMNS.
+ENVIRONMENT = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "DRNETS_THREADS": "1", "COLUMNS": "80"}
 
 N = 400
 # (estimand, dgp kind, p, dgp_fields giving that p)
@@ -81,13 +84,15 @@ CLI_CASES = [
 
 
 def _cli(out: Path, name: str, *args: str) -> None:
-    """Run the drnets CLI in a fresh interpreter; record its exit code, stderr
-    and any stdout."""
-    proc = subprocess.run([sys.executable, "-m", "drnets.cli", *args],
-                          capture_output=True, text=True, cwd=out)
-    (out / f"{name}.exit").write_text(f"{proc.returncode}\n{proc.stderr}")
-    if proc.stdout:
-        (out / f"{name}.stdout").write_text(proc.stdout)
+    """Run the drnets CLI; record its exit code, stderr and any stdout."""
+    from drnets.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(list(args))
+    (out / f"{name}.exit").write_text(f"{code}\n{stderr.getvalue()}")
+    if stdout.getvalue():
+        (out / f"{name}.stdout").write_text(stdout.getvalue())
 
 
 def _api(out: Path, name: str, fn) -> None:
@@ -109,6 +114,15 @@ def _set_first_y(path: Path, k: int, value: str) -> None:
 
 
 def cli_runs(out: Path) -> None:
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        _cli_cases(out)
+    finally:
+        os.chdir(cwd)
+
+
+def _cli_cases(out: Path) -> None:
     _cli(out, "help_drnets", "--help")
     for command in ("simulate", "estimate", "diagnose"):
         _cli(out, f"help_{command}", command, "--help")
@@ -262,4 +276,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    os.environ.update(ENVIRONMENT)
     sys.exit(main(sys.argv[1:]))
